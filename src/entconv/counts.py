@@ -12,6 +12,7 @@ order or in parallel.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -41,6 +42,10 @@ class CountRecord:
     accidental_estimate: float = 0.0
 
     def __post_init__(self):
+        for name in ("duration", "coincidences", "accidental_estimate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.duration <= 0.0:
             raise ValueError("duration must be > 0")
         if self.coincidences < 0 or self.singles_a < 0 or self.singles_b < 0:

@@ -5,10 +5,16 @@ with an upper-triangular T (16 real parameters), so the estimate satisfies
 Hermiticity, positivity and unit trace by construction, and maximizes the
 Poisson log-likelihood sum_s [n_s log mu_s - mu_s].
 
-Process reconstruction works on the Choi matrix J = M^dag M followed by the
-exact trace-preservation retraction J -> (I x G^{-1/2}) J (I x G^{-1/2}) with
-G = Tr_out J, then converts to the chi representation in the Pauli basis
-(I, X, Y, Z).
+Process reconstruction is the same fit applied to the Choi matrix
+J = M^dag M followed by the exact trace-preservation retraction
+J -> (I x G^{-1/2}) J (I x G^{-1/2}) with G = Tr_out J, then converts to the
+chi representation in the Pauli basis (I, X, Y, Z). Both objectives have
+analytic gradients; the process gradient is pulled back through the
+retraction by the chain rule, with the derivative of G^{-1/2} taken from its
+eigendecomposition (Daleckii-Krein divided differences).
+
+Records are always fitted in canonical setting order, so the projector
+stacks and the linear-inversion design matrix are built once, at import.
 """
 from __future__ import annotations
 
@@ -35,8 +41,8 @@ _LABEL_INDEX = {l: i for i, l in enumerate(PROJECTOR_LABELS)}
 
 _TRIU_R, _TRIU_C = np.triu_indices(4, 1)
 
-#: Orthonormal Hermitian operator basis (Pauli products / 2) for inversion.
-_HERM_BASIS = [np.kron(p1, p2) / 2.0 for p1 in PAULIS for p2 in PAULIS]
+#: Probabilities below this floor are clipped in both likelihoods.
+_P_FLOOR = 1e-12
 
 
 def tomography_settings(kind: str) -> list[tuple[str, str]]:
@@ -48,6 +54,44 @@ def tomography_settings(kind: str) -> list[tuple[str, str]]:
     if kind not in ("state2q", "process1q"):
         raise ValueError(f"unknown settings kind {kind!r}")
     return list(product(PROJECTOR_LABELS, PROJECTOR_LABELS))
+
+
+#: Canonical setting order; every fit sees its records in this order.
+_SETTINGS = tomography_settings("state2q")
+
+#: Basis-pair group (0..8) of each canonical setting.
+_GROUP = np.array([3 * _BASIS_OF[a] + _BASIS_OF[b] for a, b in _SETTINGS])
+
+
+def _kron_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """kron(left[a], right[b]) at [a, b] for two stacks of 2x2 matrices."""
+    return np.einsum("aij,bkl->abikjl", left, right).reshape(len(left), len(right), 4, 4)
+
+
+_LABEL_PROJS = np.array([projector(l) for l in PROJECTOR_LABELS])
+
+#: P_a x P_b of each canonical state-tomography setting.
+_STATE_PROJS = _kron_grid(_LABEL_PROJS, _LABEL_PROJS).reshape(36, 4, 4)
+
+#: W_s = P_meas x rho_in^T of each canonical (input, measurement) setting, so
+#: that p_s = Tr[W_s J]; flattened transposes make that one matrix product.
+_PROCESS_W = _kron_grid(_LABEL_PROJS, _LABEL_PROJS.transpose(0, 2, 1)).swapaxes(
+    0, 1).reshape(36, 4, 4)
+_PROCESS_W_T = _PROCESS_W.transpose(0, 2, 1).reshape(36, 16)
+
+#: Orthonormal Hermitian operator basis (Pauli products / 2) for inversion.
+_HERM_BASIS = _kron_grid(np.array(PAULIS), np.array(PAULIS)).reshape(16, 4, 4) / 2.0
+
+
+def _design_matrix() -> np.ndarray:
+    """Tr[(P_a x P_b) B_k] for each canonical setting and basis element."""
+    design = np.real(np.einsum("sij,kji->sk", _STATE_PROJS, _HERM_BASIS))
+    if np.linalg.matrix_rank(design) < 16:
+        raise ReconstructionError("rank-deficient design matrix")
+    return design
+
+
+_DESIGN = _design_matrix()
 
 
 def subtract_accidentals(records: list[CountRecord]) -> list[CountRecord]:
@@ -72,7 +116,16 @@ def _sorted_label_records(records: list[CountRecord]) -> list[CountRecord]:
         if key in by_setting:
             raise ReconstructionError(f"duplicate setting {key}")
         by_setting[key] = r
-    return [by_setting[s] for s in tomography_settings("state2q")]
+    return [by_setting[s] for s in _SETTINGS]
+
+
+def _rates(ordered: list[CountRecord]) -> np.ndarray:
+    return np.array([r.coincidences / r.duration for r in ordered])
+
+
+def _group_sums(rates: np.ndarray) -> np.ndarray:
+    """Summed rate of each of the nine basis-pair groups (canonical order)."""
+    return np.bincount(_GROUP, weights=rates, minlength=9)
 
 
 def _flux_rate(ordered: list[CountRecord]) -> float:
@@ -82,11 +135,7 @@ def _flux_rate(ordered: list[CountRecord]) -> float:
     group's summed rate estimates the same total flux; the groups are
     averaged.
     """
-    sums: dict[tuple[int, int], float] = {}
-    for r in ordered:
-        key = (_BASIS_OF[r.setting_a], _BASIS_OF[r.setting_b])
-        sums[key] = sums.get(key, 0.0) + r.coincidences / r.duration
-    rate = float(np.mean(list(sums.values())))
+    rate = float(np.mean(_group_sums(_rates(ordered))))
     if rate <= 0.0:
         raise ReconstructionError("all counts are zero; cannot normalize")
     return rate
@@ -134,13 +183,73 @@ def _check_monotone(history: list[float]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# state tomography
+# likelihood core
 # ---------------------------------------------------------------------------
 
-def _projector_stack(ordered: list[CountRecord]) -> np.ndarray:
-    return np.array([np.kron(projector(r.setting_a), projector(r.setting_b))
-                     for r in ordered])
+@dataclass(frozen=True)
+class Objective:
+    """Negative Poisson log-likelihood of one fit, at unit count scale.
 
+    ``fun(t)`` returns the value and its analytic gradient. Counts are divided
+    by their mean ``scale`` so that the landscape (hence the estimate) is
+    invariant under a global rescaling of all counts; ``loglik`` maps a value
+    back to the log-likelihood of the raw counts.
+    """
+
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    counts: np.ndarray
+    scale: float
+    raw_total: float
+
+    def loglik(self, value: float) -> float:
+        # sum n log mu - mu at raw scale is s * (scaled sum) + log(s) * sum n
+        return -self.scale * value + float(np.log(self.scale)) * self.raw_total
+
+
+def _scaled_counts(ordered: list[CountRecord]) -> tuple[np.ndarray, np.ndarray, float]:
+    """Raw counts, the same counts at unit mean, and their mean ``scale``."""
+    raw_counts = np.array([max(0.0, r.coincidences) for r in ordered])
+    if np.all(raw_counts == 0):
+        raise ReconstructionError("all counts are zero")
+    scale = raw_counts.sum() / raw_counts.size
+    return raw_counts, raw_counts / scale, scale
+
+
+def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):
+    """Negative log-likelihood at probabilities p, the clipped p, mu and weights.
+
+    The weight w_s = dll/dp_s is zero where p_s is clipped at the floor,
+    because the clipped objective does not depend on p_s there.
+    """
+    c = np.clip(p, _P_FLOOR, None)
+    mu = norms * c
+    nll = -float(np.sum(counts * np.log(mu) - mu))
+    w = np.where(p < _P_FLOOR, 0.0, counts / c - norms)
+    return nll, c, mu, w
+
+
+def _maximize(objective: Objective, t0: np.ndarray, opts: TomographyOptions,
+              gtol: float, maxcor: int) -> tuple[optimize.OptimizeResult, list[float]]:
+    """L-BFGS-B on ``objective``; history holds the raw log-likelihood per iterate."""
+    history = [objective.loglik(objective.fun(t0)[0])]
+
+    # SciPy >= 1.11 passes the OptimizeResult at x_k to a callback whose
+    # parameter is named intermediate_result; its ``fun`` is the value the
+    # optimizer already computed there.
+    def record_step(intermediate_result):
+        history.append(objective.loglik(intermediate_result.fun))
+
+    res = optimize.minimize(
+        objective.fun, t0, jac=True, method="L-BFGS-B", callback=record_step,
+        options={"maxiter": opts.max_iters, "ftol": opts.rel_tol,
+                 "gtol": gtol * max(1.0, objective.counts.sum()), "maxcor": maxcor})
+    _check_monotone(history)
+    return res, history
+
+
+# ---------------------------------------------------------------------------
+# state tomography
+# ---------------------------------------------------------------------------
 
 def _params_to_t(t: np.ndarray) -> np.ndarray:
     T = np.zeros((4, 4), dtype=complex)
@@ -150,6 +259,11 @@ def _params_to_t(t: np.ndarray) -> np.ndarray:
 
 
 def _t_to_params(T: np.ndarray) -> np.ndarray:
+    """Inverse of ``_params_to_t``.
+
+    Applied to the Wirtinger derivative dll/dT^* of a real function ll, it
+    gives half the gradient of ll over the 16 parameters.
+    """
     t = np.zeros(16)
     t[:4] = np.real(np.diag(T))
     t[4:10] = np.real(T[_TRIU_R, _TRIU_C])
@@ -181,94 +295,65 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
     Hermitian operator basis. Used as an independent cross-check on (and a
     starting point for) the likelihood fit.
     """
-    ordered = _sorted_label_records(records)
-    rates = np.array([r.coincidences / r.duration for r in ordered])
-    group_tot: dict[tuple[int, int], float] = {}
-    for r, rate in zip(ordered, rates):
-        key = (_BASIS_OF[r.setting_a], _BASIS_OF[r.setting_b])
-        group_tot[key] = group_tot.get(key, 0.0) + rate
-    probs = np.empty(36)
-    for i, r in enumerate(ordered):
-        tot = group_tot[(_BASIS_OF[r.setting_a], _BASIS_OF[r.setting_b])]
-        if tot <= 0.0:
-            raise ReconstructionError(
-                f"basis group of ({r.setting_a}, {r.setting_b}) has zero counts")
-        probs[i] = rates[i] / tot
-    projs = _projector_stack(ordered)
-    design = np.array([[float(np.real(np.trace(pi @ bk))) for bk in _HERM_BASIS]
-                       for pi in projs])
-    if np.linalg.matrix_rank(design) < 16:
-        raise ReconstructionError("rank-deficient design matrix")
-    x, *_ = np.linalg.lstsq(design, probs, rcond=None)
-    rho = sum(xk * bk for xk, bk in zip(x, _HERM_BASIS))
+    rates = _rates(_sorted_label_records(records))
+    group_tot = _group_sums(rates)[_GROUP]
+    empty = np.flatnonzero(group_tot <= 0.0)
+    if empty.size:
+        a, b = _SETTINGS[empty[0]]
+        raise ReconstructionError(f"basis group of ({a}, {b}) has zero counts")
+    x, *_ = np.linalg.lstsq(_DESIGN, rates / group_tot, rcond=None)
+    rho = (x[:, None, None] * _HERM_BASIS).sum(axis=0)
     return rho / float(np.real(np.trace(rho)))
+
+
+def state_objective(records: list[CountRecord],
+                    fit_normalization: bool = False) -> Objective:
+    """The objective ``mle_state`` minimizes, over 16 (or 17) parameters.
+
+    Expected counts are mu_s = N * duration_s * Tr[(P_a x P_b) rho(t)]; the
+    flux N is estimated from the complete basis groups, or scaled by
+    exp(t[16]) when ``fit_normalization`` is set.
+    """
+    ordered = _sorted_label_records(records)
+    raw_counts, counts, scale = _scaled_counts(ordered)
+    durations = np.array([r.duration for r in ordered])
+    base_norms = _flux_rate(ordered) * durations / scale
+
+    def fun(t):
+        T = _params_to_t(t[:16])
+        g = T.conj().T @ T
+        tau = float(np.real(np.trace(g)))
+        norms = np.exp(t[16]) * base_norms if fit_normalization else base_norms
+        p = np.real(np.einsum("sij,ji->s", _STATE_PROJS, g / tau))
+        nll, c, mu, w = _poisson_terms(p, counts, norms)
+        m = np.tensordot(w, _STATE_PROJS, axes=(0, 0))
+        grad = 2.0 * _t_to_params((T @ m - float(np.dot(w, c)) * T) / tau)
+        if fit_normalization:
+            grad = np.append(grad, float(np.sum(counts - mu)))
+        return nll, -grad
+
+    return Objective(fun, counts, scale, float(raw_counts.sum()))
 
 
 def mle_state(records: list[CountRecord],
               options: TomographyOptions | None = None) -> TomographyResult:
     """Maximum-likelihood two-qubit state reconstruction.
 
-    Expected counts are mu_s = N * duration_s * Tr[(P_a x P_b) rho] with the
-    flux N estimated from the complete basis groups (or fitted when
-    ``fit_normalization`` is set). Non-convergence is reported through the
-    ``converged`` flag, never silently.
+    Maximizes the likelihood of ``state_objective``. Non-convergence is
+    reported through the ``converged`` flag, never silently.
     """
     opts = options or TomographyOptions()
-    ordered = _sorted_label_records(records)
-    raw_counts = np.array([max(0.0, r.coincidences) for r in ordered])
-    if np.all(raw_counts == 0):
-        raise ReconstructionError("all counts are zero")
-    durations = np.array([r.duration for r in ordered])
-    raw_norms = _flux_rate(ordered) * durations
-    projs = _projector_stack(ordered)
-
-    # Optimize at unit count scale so the landscape (hence the returned
-    # estimate) is invariant under a global rescaling of all counts.
-    scale = raw_counts.sum() / raw_counts.size
-    counts = raw_counts / scale
-    base_norms = raw_norms / scale
-
-    def neg_loglik(t, counts, base_norms):
-        T = _params_to_t(t[:16])
-        g = T.conj().T @ T
-        tau = float(np.real(np.trace(g)))
-        rho = g / tau
-        c = np.clip(np.real(np.einsum("sij,ji->s", projs, rho)), 1e-12, None)
-        norms = np.exp(t[16]) * base_norms if t.size == 17 else base_norms
-        mu = norms * c
-        ll = float(np.sum(counts * np.log(mu) - mu))
-        w = counts / c - norms
-        m = np.tensordot(w, projs, axes=(0, 0))
-        gt = (T @ m - float(np.dot(w, c)) * T) / tau
-        grad = np.zeros(t.size)
-        grad[:4] = 2.0 * np.real(np.diag(gt))
-        grad[4:10] = 2.0 * np.real(gt[_TRIU_R, _TRIU_C])
-        grad[10:16] = 2.0 * np.imag(gt[_TRIU_R, _TRIU_C])
-        if t.size == 17:
-            grad[16] = float(np.sum(counts - mu))
-        return -ll, -grad
-
+    objective = state_objective(records, opts.fit_normalization)
     if opts.start == "mixed":
         t0 = _params_of_rho(np.eye(4) / 4.0)
     else:
         try:
-            t0 = _params_of_rho(linear_inversion_state(ordered))
+            t0 = _params_of_rho(linear_inversion_state(records))
         except ReconstructionError:
             t0 = _params_of_rho(np.eye(4) / 4.0)
     if opts.fit_normalization:
         t0 = np.append(t0, 0.0)
-
-    history = [-neg_loglik(t0, raw_counts, raw_norms)[0]]
-
-    def record_step(xk):
-        history.append(-neg_loglik(xk, raw_counts, raw_norms)[0])
-
-    res = optimize.minimize(
-        neg_loglik, t0, args=(counts, base_norms), jac=True, method="L-BFGS-B",
-        callback=record_step,
-        options={"maxiter": opts.max_iters, "ftol": opts.rel_tol,
-                 "gtol": 1e-10 * max(1.0, counts.sum()), "maxcor": 20})
-    _check_monotone(history)
+    res, history = _maximize(objective, t0, opts, 1e-10, maxcor=20)
     rho_hat = _rho_of_params(res.x[:16])
     target = opts.fidelity_target if opts.fidelity_target is not None else bell_state("phi+")
     metrics = MetricReport(fidelity=fidelity(rho_hat, target), purity=purity(rho_hat),
@@ -276,7 +361,6 @@ def mle_state(records: list[CountRecord],
     return TomographyResult(estimate=rho_hat, log_likelihood=history[-1],
                             iterations=int(res.nit), converged=bool(res.success),
                             metrics=metrics, kind="state", history=history)
-
 
 # ---------------------------------------------------------------------------
 # process tomography
@@ -350,17 +434,27 @@ def check_chi_matrix(chi: np.ndarray, require_tp: bool = False,
     return chi
 
 
-def _choi_of_params(t: np.ndarray, retract: bool) -> np.ndarray:
-    T = _params_to_t(t)
-    j = T.conj().T @ T
-    if not retract:
-        return j
-    j4 = j.reshape(2, 2, 2, 2)
-    g = np.einsum("kikj->ij", j4)
-    w, v = np.linalg.eigh(g)
-    g_inv_sqrt = (v * (1.0 / np.sqrt(np.clip(w, 1e-14, None)))) @ v.conj().T
-    x = np.kron(np.eye(2), g_inv_sqrt)
-    return x @ j @ x
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """A 4x4 operator on out x in as its 2x2 grid of 2x2 blocks on the input.
+
+    X = I x S acts blockwise: (X a X)[k, l] = S a[k, l] S.
+    """
+    return a.reshape(2, 2, 2, 2).swapaxes(1, 2)
+
+
+def _from_blocks(b: np.ndarray) -> np.ndarray:
+    return b.swapaxes(1, 2).reshape(4, 4)
+
+
+def _retraction(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trace-preserving Choi matrix X j X, X = I x S, S = G^{-1/2} for
+    G = Tr_out j, with S, the square roots of G's eigenvalues and its
+    eigenvectors."""
+    jb = _blocks(j)
+    lam, v = np.linalg.eigh(jb[0, 0] + jb[1, 1])
+    r = np.sqrt(np.clip(lam, 1e-14, None))
+    s = (v * (1.0 / r)) @ v.conj().T
+    return _from_blocks(s @ jb @ s), s, r, v
 
 
 def _chi_of_choi(j: np.ndarray) -> np.ndarray:
@@ -374,62 +468,78 @@ def _chi_of_choi(j: np.ndarray) -> np.ndarray:
     return (_CHI_BASIS_INV @ smat.reshape(-1, order="F")).reshape(4, 4)
 
 
-def mle_process(records: list[CountRecord],
-                options: TomographyOptions | None = None) -> TomographyResult:
-    """Maximum-likelihood single-qubit process reconstruction.
+def process_objective(records: list[CountRecord], tp_mode: str = "constrain") -> Objective:
+    """The objective ``mle_process`` minimizes over the 16 Choi-factor parameters.
 
     Records pair an input-state label (setting_a) with a measurement label
-    (setting_b). Expected counts are mu = N_k * Tr[P_m E(rho_k)] with the
-    per-input flux N_k estimated from the three complete measurement bases.
-    With tp_mode="constrain" trace preservation holds exactly through the
-    Choi retraction; "normalize" fits an unconstrained CP map and rescales
-    the chi matrix to unit trace afterwards.
+    (setting_b). Expected counts are mu_s = N_k * duration_s * Tr[W_s J(t)]
+    with the per-input flux N_k estimated from the three complete
+    measurement bases. With tp_mode="constrain", J(t) is the retracted Choi
+    matrix and the gradient is pulled back through the retraction.
     """
-    opts = options or TomographyOptions()
+    if tp_mode not in ("constrain", "normalize"):
+        raise ValueError(f"unknown tp_mode {tp_mode!r}")
+    retract = tp_mode == "constrain"
     ordered = _sorted_label_records(records)
-    raw_counts = np.array([max(0.0, r.coincidences) for r in ordered])
-    if np.all(raw_counts == 0):
-        raise ReconstructionError("all counts are zero")
+    raw_counts, counts, scale = _scaled_counts(ordered)
     durations = np.array([r.duration for r in ordered])
     rates = raw_counts / durations
-    raw_norms = np.empty(36)
+    norms = np.empty(36)
     for k in range(6):
         sl = slice(6 * k, 6 * k + 6)
         flux = float(np.sum(rates[sl])) / 3.0
         if flux <= 0.0:
             raise ReconstructionError(
                 f"input state {PROJECTOR_LABELS[k]!r} has zero counts")
-        raw_norms[sl] = flux * durations[sl]
+        norms[sl] = flux * durations[sl] / scale
 
-    # unit count scale, as in mle_state
-    scale = raw_counts.sum() / raw_counts.size
-    counts = raw_counts / scale
-    norms = raw_norms / scale
+    def fun(t):
+        T = _params_to_t(t)
+        j = T.conj().T @ T
+        if retract:
+            choi, s, r, v = _retraction(j)
+        else:
+            choi = j
+        nll, _, _, w = _poisson_terms(np.real(_PROCESS_W_T @ choi.ravel()), counts, norms)
+        k = np.tensordot(w, _PROCESS_W, axes=(0, 0))  # dll = Tr[K dJ]
+        if retract:
+            # J = X j X with X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS] with
+            # q = Tr_out(j X K + K X j), and dS = V (F o V^dag dG V) V^dag
+            # where F_ab = -1 / (r_a r_b (r_a + r_b)) and dG = Tr_out dj.
+            xk = s @ _blocks(k)
+            q = j @ _from_blocks(xk)
+            qb = _blocks(q + q.conj().T)
+            f = -1.0 / (np.outer(r, r) * (r[:, None] + r[None, :]))
+            vh = v.conj().T
+            dg = v @ (f * (vh @ (qb[0, 0] + qb[1, 1]) @ v)) @ vh
+            kb = xk @ s
+            kb[0, 0] += dg
+            kb[1, 1] += dg
+            k = _from_blocks(kb)
+        return nll, -2.0 * _t_to_params(T @ k)
 
-    # p_s = Tr[J (P_meas x rho_in^T)]
-    wstack = np.array([np.kron(projector(r.setting_b), projector(r.setting_a).T)
-                       for r in ordered])
-    retract = opts.tp_mode == "constrain"
+    return Objective(fun, counts, scale, float(raw_counts.sum()))
 
-    def neg_loglik(t, counts, norms):
-        j = _choi_of_params(t, retract)
-        p = np.clip(np.real(np.einsum("sij,ji->s", wstack, j)), 1e-12, None)
-        mu = norms * p
-        return -float(np.sum(counts * np.log(mu) - mu))
 
+def mle_process(records: list[CountRecord],
+                options: TomographyOptions | None = None) -> TomographyResult:
+    """Maximum-likelihood single-qubit process reconstruction.
+
+    Maximizes the likelihood of ``process_objective``. With
+    tp_mode="constrain" trace preservation holds exactly through the Choi
+    retraction; "normalize" fits an unconstrained CP map and rescales the chi
+    matrix to unit trace afterwards.
+    """
+    opts = options or TomographyOptions()
+    objective = process_objective(records, opts.tp_mode)
     t0 = np.zeros(16)
     t0[:4] = (1.0, 1.0, 0.05, 0.05)
-    history = [-neg_loglik(t0, raw_counts, raw_norms)]
-
-    def record_step(xk):
-        history.append(-neg_loglik(xk, raw_counts, raw_norms))
-
-    res = optimize.minimize(
-        neg_loglik, t0, args=(counts, norms), method="L-BFGS-B", callback=record_step,
-        options={"maxiter": opts.max_iters, "ftol": opts.rel_tol,
-                 "gtol": 1e-8 * max(1.0, counts.sum())})
-    _check_monotone(history)
-    j_hat = _choi_of_params(res.x, retract)
+    res, history = _maximize(objective, t0, opts, 1e-8, maxcor=10)
+    retract = opts.tp_mode == "constrain"
+    T = _params_to_t(res.x)
+    j_hat = T.conj().T @ T
+    if retract:
+        j_hat = _retraction(j_hat)[0]
     chi_hat = _chi_of_choi(j_hat)
     chi_hat = (chi_hat + chi_hat.conj().T) / 2.0
     if not retract:

@@ -149,6 +149,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             CountRecord("H", "H", 1.0, -1.0, 1, 1)
 
+    @pytest.mark.parametrize("field", ["duration", "coincidences", "accidental_estimate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(setting_a="H", setting_b="H", duration=1.0, coincidences=1.0,
+                      singles_a=1, singles_b=1, accidental_estimate=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CountRecord(**kwargs)
+
+    def test_csv_nan_row_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        write_counts_csv(path, [CountRecord("H", "V", 1.0, 3.0, 5, 5, 0.5)])
+        path.write_text(path.read_text() + "V,H,1.0,nan,5,5,0.5\n")
+        with pytest.raises(ValueError, match="coincidences must be finite"):
+            read_counts_csv(path)
+
 
 class TestStreams:
     def test_substream_stable(self):

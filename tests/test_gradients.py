@@ -1,0 +1,101 @@
+"""Likelihood objectives: analytic gradients against central finite differences,
+and the raw-count log-likelihood reported by a fit."""
+import numpy as np
+import pytest
+
+from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
+from entconv.counts import expected_counts, simulate_counts, simulate_process_counts
+from entconv.states import projector, werner_state
+from entconv.tomography import (mle_state, process_objective, state_objective,
+                                tomography_settings)
+
+SETTINGS = tomography_settings("state2q")
+SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
+DET = DetectionModel()
+REL_TOL = 1e-6
+
+
+def central_difference(fun, t, h):
+    grad = np.empty_like(t)
+    for i in range(t.size):
+        e = np.zeros_like(t)
+        e[i] = h
+        grad[i] = (fun(t + e)[0] - fun(t - e)[0]) / (2.0 * h)
+    return grad
+
+
+def assert_gradient_matches(objective, t, h=1e-6):
+    value, grad = objective.fun(t)
+    assert np.isfinite(value)
+    fd = central_difference(objective.fun, t, h)
+    assert np.linalg.norm(grad - fd) <= REL_TOL * np.linalg.norm(fd)
+
+
+def state_records(seed):
+    return simulate_counts(werner_state(0.9), SETTINGS, SRC, DET, 10.0, seed=seed)
+
+
+def process_records(seed):
+    channel = lambda r: convert_qubit(r, ConversionParams(eta_v=0.8, theta=0.3, dephase=0.9))
+    return simulate_process_counts(channel, SETTINGS, 200.0, 10.0, seed=seed)
+
+
+@pytest.mark.parametrize("fit_normalization", [False, True])
+def test_state_gradient(fit_normalization):
+    rng = np.random.default_rng(31)
+    objective = state_objective(state_records(1), fit_normalization)
+    for _ in range(4):
+        t = rng.normal(size=17 if fit_normalization else 16)
+        if fit_normalization:
+            t[16] *= 0.2
+        assert_gradient_matches(objective, t)
+
+
+@pytest.mark.parametrize("tp_mode", ["constrain", "normalize"])
+def test_process_gradient(tp_mode):
+    rng = np.random.default_rng(32)
+    objective = process_objective(process_records(2), tp_mode)
+    for _ in range(4):
+        assert_gradient_matches(objective, rng.normal(size=16))
+
+
+def test_state_gradient_where_probability_is_clipped():
+    # A near-pure state whose (V, V) probability is positive but below the
+    # 1e-12 clip, while the (V, V) record has counts: there the objective is
+    # flat in p_VV, so the gradient must ignore that setting.
+    records = expected_counts(werner_state(0.9), SETTINGS, SRC, DET, 10.0)
+    assert records[SETTINGS.index(("V", "V"))].coincidences > 0
+    rng = np.random.default_rng(33)
+    t = rng.normal(size=16)
+    column3 = [3, 4 + 2, 4 + 4, 4 + 5, 10 + 2, 10 + 4, 10 + 5]  # T_33, T_03, T_13, T_23
+    t[column3] = 1e-8
+    T = np.zeros((4, 4), dtype=complex)
+    T[np.diag_indices(4)] = t[:4]
+    T[np.triu_indices(4, 1)] = t[4:10] + 1j * t[10:16]
+    rho = T.conj().T @ T
+    p_vv = float(np.real(rho[3, 3] / np.trace(rho)))
+    assert 0.0 < p_vv < 1e-12
+    assert_gradient_matches(state_objective(records), t, h=1e-7)
+
+
+def test_unknown_tp_mode_rejected():
+    with pytest.raises(ValueError):
+        process_objective(process_records(3), "project")
+
+
+def test_log_likelihood_is_raw_count_likelihood_of_estimate():
+    records = state_records(5)
+    result = mle_state(records)
+    n = np.array([r.coincidences for r in records])
+    rates = n / np.array([r.duration for r in records])
+    groups = {}
+    for (a, b), rate in zip(SETTINGS, rates):
+        key = ("HVDARL".index(a) // 2, "HVDARL".index(b) // 2)
+        groups[key] = groups.get(key, 0.0) + rate
+    flux = np.mean(list(groups.values()))
+    p = np.array([np.real(np.trace(np.kron(projector(a), projector(b)) @ result.estimate))
+                  for a, b in SETTINGS])
+    mu = flux * np.array([r.duration for r in records]) * p
+    expected = float(np.sum(n * np.log(mu) - mu))
+    assert result.log_likelihood == result.history[-1]
+    assert abs(result.log_likelihood - expected) <= 1e-9 * abs(expected)

@@ -6,7 +6,7 @@ from entconv.conversion import ConversionParams, DetectionModel, SourceModel, co
 from entconv.counts import (CountRecord, expected_counts, expected_process_counts,
                             simulate_counts, simulate_process_counts)
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
-                            ket2dm, trace_distance, werner_state)
+                            ket2dm, projector, trace_distance, werner_state)
 from entconv.tomography import (ReconstructionError, chi_to_transfer,
                                 TomographyOptions, channel_chi, check_chi_matrix,
                                 identity_chi, linear_inversion_state, mle_process,
@@ -90,6 +90,29 @@ class TestLinearInversion:
         est = linear_inversion_state(recs)
         est = (est + est.conj().T) / 2
         assert trace_distance(est, rho) < 0.05
+
+    def test_matches_per_record_least_squares(self):
+        # reference: the design matrix built from the records as given, in
+        # any order, and the basis expansion summed term by term
+        rng = np.random.default_rng(27)
+        recs = simulate_counts(random_density_matrix(rng), SETTINGS, SRC, DET, 5.0, seed=4)
+        recs = [recs[i] for i in rng.permutation(len(recs))]
+        basis = [np.kron(p1, p2) / 2.0 for p1 in PAULIS for p2 in PAULIS]
+        family = {"H": 0, "V": 0, "D": 1, "A": 1, "R": 2, "L": 2}
+        group = {}
+        for r in recs:
+            key = (family[r.setting_a], family[r.setting_b])
+            group[key] = group.get(key, 0.0) + r.coincidences / r.duration
+        design, probs = [], []
+        for r in recs:
+            key = (family[r.setting_a], family[r.setting_b])
+            p = np.kron(projector(r.setting_a), projector(r.setting_b))
+            design.append([float(np.real(np.trace(p @ b))) for b in basis])
+            probs.append(r.coincidences / r.duration / group[key])
+        x, *_ = np.linalg.lstsq(np.array(design), np.array(probs), rcond=None)
+        ref = sum(xk * bk for xk, bk in zip(x, basis))
+        ref = ref / np.trace(ref).real
+        assert np.max(np.abs(linear_inversion_state(recs) - ref)) < 1e-12
 
     def test_incomplete_data_rejected(self):
         recs = noiseless_records(np.eye(4) / 4)[:-1]
