@@ -13,13 +13,15 @@ from .conversion import (BudgetInputs, ConversionError, ConversionParams,
                          DetectionModel, EfficiencyParams, SourceModel, convert,
                          efficiency_budget, focusing_factor, p_max,
                          p_max_from_efficiency, sfg_efficiency, source_state)
-from .counts import (CountRecord, expected_counts, read_counts_csv, simulate_counts,
-                     simulate_process_counts, write_counts_csv)
+from .counts import (CountDataError, CountRecord, expected_counts, poisson_resamples,
+                     read_counts_csv, simulate_counts, simulate_process_counts,
+                     write_counts_csv)
 from .states import (MetricReport, PAULIS, bell_state, concurrence, fidelity, kron,
                      projector, purity, tangle, trace_distance, werner_state)
-from .tomography import (MonteCarloErrors, ReconstructionError, TomographyOptions,
-                         TomographyResult, check_chi_matrix, identity_chi,
-                         linear_inversion_state, mle_process, mle_state,
+from .tomography import (BatchFit, MonteCarloErrors, ReconstructionError,
+                         TomographyOptions, TomographyResult, check_chi_matrix,
+                         identity_chi, linear_inversion_state, mle_process,
+                         mle_process_batch, mle_state, mle_state_batch,
                          monte_carlo_errors, process_fidelity, process_purity,
                          subtract_accidentals, tomography_settings)
 

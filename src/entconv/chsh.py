@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountRecord, parse_setting
+from .counts import CountRecord, parse_setting, poisson_resamples
 from .states import SIGMA_X, SIGMA_Z, check_density_matrix
 
 
@@ -90,6 +90,19 @@ def _record_angle(setting: str) -> float:
     return float(value)
 
 
+def _outcome_signs(records: list[CountRecord], a0: float, b0: float) -> np.ndarray:
+    """+-1 per record: outcomes on the settings rotated by 90 degrees count -1."""
+    def outcome_sign(angle: float, ref: float) -> float:
+        if _angles_match(angle, ref):
+            return 1.0
+        if _angles_match(angle, ref + 90.0):
+            return -1.0
+        raise ValueError(f"angle {angle} matches neither {ref} nor {ref}+90")
+
+    return np.array([outcome_sign(_record_angle(r.setting_a), a0) *
+                     outcome_sign(_record_angle(r.setting_b), b0) for r in records])
+
+
 def correlation_from_counts(records: list[CountRecord],
                             reference: tuple[float, float] | None = None) -> tuple[float, float]:
     """Correlation and its Poisson standard deviation from four records.
@@ -106,16 +119,7 @@ def correlation_from_counts(records: list[CountRecord],
         b0 = min(_record_angle(r.setting_b) for r in records)
     else:
         a0, b0 = reference
-
-    def outcome_sign(angle: float, ref: float) -> float:
-        if _angles_match(angle, ref):
-            return 1.0
-        if _angles_match(angle, ref + 90.0):
-            return -1.0
-        raise ValueError(f"angle {angle} matches neither {ref} nor {ref}+90")
-
-    signs = np.array([outcome_sign(_record_angle(r.setting_a), a0) *
-                      outcome_sign(_record_angle(r.setting_b), b0) for r in records])
+    signs = _outcome_signs(records, a0, b0)
     counts = np.array([r.coincidences for r in records], dtype=float)
     total = counts.sum()
     if total <= 0:
@@ -123,6 +127,30 @@ def correlation_from_counts(records: list[CountRecord],
     e = float(np.dot(signs, counts) / total)
     var = float(np.sum(counts * (signs - e) ** 2) / total ** 2)
     return e, np.sqrt(max(var, 0.0))
+
+
+def _correlation_groups(settings: ChshSettings, records: list[CountRecord]) -> np.ndarray:
+    """Indices of the four records of each correlation, (4, 4) in the order
+    of ``correlation_pairs``, found by matching the records' angles against
+    each correlation's four orthogonal combinations."""
+    if len(records) != 16:
+        raise ValueError(f"CHSH needs 16 records, got {len(records)}")
+    groups = []
+    used = [False] * 16
+    for a, b in settings.correlation_pairs():
+        group = []
+        for i, r in enumerate(records):
+            if used[i]:
+                continue
+            ra, rb = _record_angle(r.setting_a), _record_angle(r.setting_b)
+            if (_angles_match(ra, a) or _angles_match(ra, a + 90.0)) and \
+                    (_angles_match(rb, b) or _angles_match(rb, b + 90.0)):
+                group.append(i)
+                used[i] = True
+        if len(group) != 4:
+            raise ValueError(f"missing records for correlation at ({a}, {b})")
+        groups.append(group)
+    return np.array(groups)
 
 
 def chsh_s(settings: ChshSettings,
@@ -138,23 +166,9 @@ def chsh_s(settings: ChshSettings,
         corr = [correlation_from_state(source, a, b) for a, b in pairs]
         sig = [0.0] * 4
     else:
-        if len(source) != 16:
-            raise ValueError(f"CHSH needs 16 records, got {len(source)}")
         corr, sig = [], []
-        used = [False] * 16
-        for a, b in pairs:
-            group = []
-            for i, r in enumerate(source):
-                if used[i]:
-                    continue
-                ra, rb = _record_angle(r.setting_a), _record_angle(r.setting_b)
-                if (_angles_match(ra, a) or _angles_match(ra, a + 90.0)) and \
-                        (_angles_match(rb, b) or _angles_match(rb, b + 90.0)):
-                    group.append(r)
-                    used[i] = True
-            if len(group) != 4:
-                raise ValueError(f"missing records for correlation at ({a}, {b})")
-            e, s = correlation_from_counts(group, reference=(a, b))
+        for (a, b), group in zip(pairs, _correlation_groups(settings, source)):
+            e, s = correlation_from_counts([source[i] for i in group], reference=(a, b))
             corr.append(e)
             sig.append(s)
     s_value = corr[0] - corr[1] + corr[2] + corr[3]
@@ -167,18 +181,17 @@ def chsh_sigma_resampled(settings: ChshSettings, records: list[CountRecord],
     """Monte-Carlo alternative to the first-order S error.
 
     Redraws every coincidence count from a Poisson law with mean equal to the
-    observed count and returns the sample standard deviation of S; a
-    cross-check on the delta-method ``s_sigma``.
+    observed count (``poisson_resamples``) and returns the sample standard
+    deviation of S over the resamples; a cross-check on the delta-method
+    ``s_sigma``.
     """
-    from dataclasses import replace
-
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    raw = np.array([max(0.0, r.coincidences) for r in records])
-    values = []
-    for i in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        resampled = [replace(r, coincidences=float(c))
-                     for r, c in zip(records, rng.poisson(raw))]
-        values.append(chsh_s(settings, resampled).s_value)
-    return float(np.std(values, ddof=1))
+    groups = _correlation_groups(settings, records)
+    signs = np.array([_outcome_signs([records[i] for i in group], a, b)
+                      for group, (a, b) in zip(groups, settings.correlation_pairs())])
+    counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)[:, groups]
+    total = counts.sum(axis=2)
+    if np.any(total <= 0):
+        raise ValueError("zero total counts in correlation group")
+    e = np.einsum("bkr,kr->bk", counts, signs) / total
+    s_values = e[:, 0] - e[:, 1] + e[:, 2] + e[:, 3]
+    return float(np.std(s_values, ddof=1))

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid configuration, 3 reconstruction failed to
-converge, 4 I/O failure.
+converge, 4 I/O failure, 5 invalid count data.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, default_config, load_config, save_config
+from .counts import CountDataError
 from .pipeline import (COUNT_FILES, run_chsh, run_efficiency, run_reconstruct_process,
                        run_reconstruct_state, run_report, run_simulate)
 from .tomography import ReconstructionError
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
+EXIT_DATA = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,6 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except CountDataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,10 @@ CSV_HEADER = ["setting_a", "setting_b", "duration_s", "coincidences",
               "singles_a", "singles_b", "accidental_estimate"]
 
 
+class CountDataError(ValueError):
+    """Raised for a count record or count table that is not valid data."""
+
+
 @dataclass
 class CountRecord:
     """Counts for one pair of analyzer settings.
@@ -45,18 +49,31 @@ class CountRecord:
         for name in ("duration", "coincidences", "accidental_estimate"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise CountDataError(f"{name} must be finite, got {value!r}")
         if self.duration <= 0.0:
-            raise ValueError("duration must be > 0")
+            raise CountDataError("duration must be > 0")
         if self.coincidences < 0 or self.singles_a < 0 or self.singles_b < 0:
-            raise ValueError("counts must be >= 0")
+            raise CountDataError("counts must be >= 0")
         if self.accidental_estimate < 0.0:
-            raise ValueError("accidental_estimate must be >= 0")
+            raise CountDataError("accidental_estimate must be >= 0")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (seed, key...) via SeedSequence."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+def poisson_resamples(means, n_samples: int, seed: int) -> np.ndarray:
+    """Poisson redraws of ``means``, one row per resample, as floats.
+
+    Row s, of shape ``len(means)``, comes from ``substream(seed, s)``, so it
+    does not depend on how many rows are drawn.
+    """
+    if n_samples < 2:
+        raise ValueError("n_samples must be >= 2")
+    means = np.asarray(means, dtype=float)
+    return np.array([substream(seed, s).poisson(means) for s in range(n_samples)],
+                    dtype=float)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -208,16 +225,23 @@ def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
 
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:
-    """Read records written by write_counts_csv."""
+    """Read records written by write_counts_csv.
+
+    A wrong header, a short row, an unparsable number or an invalid record
+    raises ``CountDataError`` naming the line.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise CountDataError(f"{path}: unexpected CSV header {header}")
         for row in reader:
             if not row:
                 continue
-            records.append(CountRecord(row[0], row[1], float(row[2]), float(row[3]),
-                                       int(row[4]), int(row[5]), float(row[6])))
+            try:
+                records.append(CountRecord(row[0], row[1], float(row[2]), float(row[3]),
+                                           int(row[4]), int(row[5]), float(row[6])))
+            except (IndexError, ValueError) as exc:
+                raise CountDataError(f"{path}: line {reader.line_num}: {exc}") from None
     return records

@@ -1,0 +1,207 @@
+"""Many small independent minimizations in one vectorised L-BFGS loop.
+
+``minimize_rows`` runs the unconstrained L-BFGS-B iteration of scipy's
+``minimize(method="L-BFGS-B")`` on every row of a (B, n) parameter array at
+once: the same direction (L-BFGS with H0 = (s'y / y'y) I), first step
+(length 1 along -g), More-Thuente line search (MINPACK-2 dcsrch with
+ftol 1e-3, gtol 0.9, xtol 0.1, at most 20 evaluations), restart on a failed
+search, memory-update skip rule and stopping rules. Rows never interact; each
+evaluation round calls the objective once on the rows still searching.
+"""
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("kp,kp->k", a, b)
+
+
+def _two_loop(g, s_mem, y_mem, rho_mem):
+    """L-BFGS product H g per row; memory slots newest first, empty slots zero."""
+    depth = int(np.max(np.count_nonzero(rho_mem, axis=1)))
+    q = g.copy()
+    alpha = np.zeros(rho_mem.shape)
+    for i in range(depth):
+        alpha[:, i] = rho_mem[:, i] * _dot(s_mem[:, i], q)
+        q -= alpha[:, i, None] * y_mem[:, i]
+    has = rho_mem[:, 0] > 0.0
+    yy = np.where(has, rho_mem[:, 0] * _dot(y_mem[:, 0], y_mem[:, 0]), 1.0)
+    r = np.where(has, 1.0 / yy, 1.0)[:, None] * q
+    for i in reversed(range(depth)):
+        beta = rho_mem[:, i] * _dot(y_mem[:, i], r)
+        r += (alpha[:, i] - beta)[:, None] * s_mem[:, i]
+    return r
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
+    """More-Thuente safeguarded step (MINPACK-2 dcstep), elementwise.
+
+    (stx, fx, dx) is the best step so far, (sty, fy, dy) the other end of the
+    interval and (stp, fp, dp) the trial. Returns the updated interval, the
+    next trial step and whether a minimizer is bracketed.
+    """
+    sgnd = np.sign(dp) * np.sign(dx)
+    case1 = fp > fx
+    case2 = ~case1 & (sgnd < 0.0)
+    case3 = ~case1 & ~case2 & (np.abs(dp) < np.abs(dx))
+
+    def cubic(st, f0, d0):
+        theta = 3.0 * (f0 - fp) / (stp - st) + d0 + dp
+        s = np.maximum(np.maximum(np.abs(theta), np.abs(d0)), np.abs(dp))
+        return theta, s * np.sqrt(np.maximum((theta / s) ** 2 - (d0 / s) * (dp / s), 0.0))
+
+    theta, gamma = cubic(stx, fx, dx)
+    g1 = np.where(stp < stx, -gamma, gamma)
+    stpc = stx + ((g1 - dx) + theta) / (((g1 - dx) + g1) + dp) * (stp - stx)
+    stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+    step1 = np.where(np.abs(stpc - stx) < np.abs(stpq - stx), stpc, stpc + (stpq - stpc) / 2.0)
+    g2 = np.where(stp > stx, -gamma, gamma)
+    r = ((g2 - dp) + theta) / (((g2 - dp) + g2) + dx)
+    stpc = stp + r * (stx - stp)
+    stpq = stp + (dp / (dp - dx)) * (stx - stp)
+    step2 = np.where(np.abs(stpc - stp) > np.abs(stpq - stp), stpc, stpq)
+    stpc = np.where((r < 0.0) & (g2 != 0.0), stpc, np.where(stp > stx, stmax, stmin))
+    nearer = np.where(np.abs(stpc - stp) < np.abs(stpq - stp), stpc, stpq)
+    limit = stp + 0.66 * (sty - stp)
+    step3 = np.where(brackt, np.where(stp > stx, np.minimum(limit, nearer),
+                                      np.maximum(limit, nearer)),
+                     np.clip(np.where(np.abs(stpc - stp) > np.abs(stpq - stp), stpc, stpq),
+                             stmin, stmax))
+    theta, gamma = cubic(sty, fy, dy)
+    g4 = np.where(stp > sty, -gamma, gamma)
+    step4 = np.where(brackt, stp + ((g4 - dp) + theta) / (((g4 - dp) + g4) + dy) * (sty - stp),
+                     np.where(stp > stx, stmax, stmin))
+    step = np.select([case1, case2, case3], [step1, step2, step3], step4)
+    swap = ~case1 & (sgnd < 0.0)
+    sty, fy, dy = (np.where(case1, stp, np.where(swap, stx, sty)),
+                   np.where(case1, fp, np.where(swap, fx, fy)),
+                   np.where(case1, dp, np.where(swap, dx, dy)))
+    stx, fx, dx = (np.where(case1, stx, stp), np.where(case1, fx, fp),
+                   np.where(case1, dx, dp))
+    return stx, fx, dx, sty, fy, dy, step, brackt | case1 | case2
+
+
+def _line_search(fun, rows, x, f, g, d, stp, ftol=1e-3, gtol=0.9, xtol=0.1,
+                 stpmax=1e10, max_evals=20):
+    """More-Thuente line search (MINPACK-2 dcsrch) along d for every row.
+
+    A row stops at a step with f <= f0 + ftol stp g0'd and |g'd| <= gtol
+    |g0'd|, or where rounding or the bracket width prevents progress (the
+    trial point is then taken as it is). Returns which rows stopped within
+    ``max_evals`` evaluations and their new points; a row where d is not a
+    descent direction fails at once.
+    """
+    n = len(rows)
+    ginit = _dot(g, d)
+    gtest = ftol * ginit
+    stx, fx, gx = np.zeros(n), f.copy(), ginit.copy()
+    sty, fy, gy = np.zeros(n), f.copy(), ginit.copy()
+    stp = stp.copy()
+    stmin, stmax = np.zeros(n), 5.0 * stp
+    width = np.full(n, stpmax)
+    width1 = 2.0 * width
+    brackt, stage1 = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    found = np.zeros(n, dtype=bool)
+    x_new, f_new, g_new = np.empty_like(x), np.empty_like(f), np.empty_like(g)
+    i = np.flatnonzero(ginit < 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_evals if i.size else 0):
+            xt = x[i] + stp[i, None] * d[i]
+            ft, gt = fun(xt, rows[i])
+            dt = _dot(gt, d[i])
+            ftest = f[i] + stp[i] * gtest[i]
+            stage1[i] &= ~((ft <= ftest) & (dt >= 0.0))
+            stop = ((ft <= ftest) & (np.abs(dt) <= -gtol * ginit[i])
+                    | brackt[i] & ((stp[i] <= stmin[i]) | (stp[i] >= stmax[i])
+                                   | (stmax[i] - stmin[i] <= xtol * stmax[i]))
+                    | (stp[i] == stpmax) & (ft <= ftest) & (dt <= gtest[i]))
+            done = i[stop]
+            x_new[done], f_new[done], g_new[done] = xt[stop], ft[stop], gt[stop]
+            found[done] = True
+            i, ft, dt, ftest = i[~stop], ft[~stop], dt[~stop], ftest[~stop]
+            if not i.size:
+                break
+            # stage 1 steers by f - ftol stp g0'd while f fell but not enough
+            m = np.where(stage1[i] & (ft <= fx[i]) & (ft > ftest), gtest[i], 0.0)
+            stx[i], fx[i], gx[i], sty[i], fy[i], gy[i], step, brackt[i] = _dcstep(
+                stx[i], fx[i] - stx[i] * m, gx[i] - m, sty[i], fy[i] - sty[i] * m, gy[i] - m,
+                stp[i], ft - stp[i] * m, dt - m, brackt[i], stmin[i], stmax[i])
+            fx[i] += stx[i] * m
+            fy[i] += sty[i] * m
+            gx[i] += m
+            gy[i] += m
+            b = brackt[i]
+            span = np.abs(sty[i] - stx[i])
+            step = np.where(b & (span >= 0.66 * width1[i]), stx[i] + 0.5 * (sty[i] - stx[i]), step)
+            width1[i] = np.where(b, width[i], width1[i])
+            width[i] = np.where(b, span, width[i])
+            stmin[i] = np.where(b, np.minimum(stx[i], sty[i]), step + 1.1 * (step - stx[i]))
+            stmax[i] = np.where(b, np.maximum(stx[i], sty[i]), step + 4.0 * (step - stx[i]))
+            step = np.clip(step, 0.0, stpmax)
+            stuck = b & ((step <= stmin[i]) | (step >= stmax[i])
+                         | (stmax[i] - stmin[i] <= xtol * stmax[i]))
+            stp[i] = np.where(stuck, stx[i], step)
+    return found, x_new, f_new, g_new
+
+
+def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+                  x0: np.ndarray, fit: np.ndarray, pgtol: np.ndarray, rel_tol: float,
+                  max_iters: int, maxcor: int):
+    """Minimize every row b of a batch of objectives with ``fit[b]``, from x0[b].
+
+    ``fun(x, idx)`` returns the values and gradients of objectives ``idx`` at
+    the rows of x. A row converges when max |g| <= pgtol[b] or its relative
+    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``rel_tol``; it stops
+    unconverged after ``max_iters`` iterations, or when a line search fails
+    without L-BFGS memory to clear and retry along -g. Returns the final
+    parameters, the converged flags and the objective of every row per
+    iteration, shape (iterations + 1, B); stopped and unfitted rows repeat
+    their last value.
+    """
+    x = x0.copy()
+    n_rows, n_par = x.shape
+    f, g = np.zeros(n_rows), np.zeros_like(x)
+    rows = np.flatnonzero(fit)
+    f[rows], g[rows] = fun(x[rows], rows)
+    converged = fit & (np.max(np.abs(g), axis=1) <= pgtol)
+    active = fit & ~converged
+    s_mem, y_mem = np.zeros((2, n_rows, maxcor, n_par))
+    rho_mem = np.zeros((n_rows, maxcor))
+    nit = np.zeros(n_rows, dtype=int)
+    history = [f.copy()]
+
+    def search(r):
+        d = -_two_loop(g[r], s_mem[r], y_mem[r], rho_mem[r])
+        stp = np.where(nit[r] == 0, 1.0 / np.linalg.norm(d, axis=1), 1.0)
+        return _line_search(fun, r, x[r], f[r], g[r], d, stp)
+
+    while active.any():
+        rows = np.flatnonzero(active)
+        found, x_new, f_new, g_new = search(rows)
+        retry = np.flatnonzero(~found & (rho_mem[rows, 0] > 0.0))
+        if retry.size:
+            r = rows[retry]
+            s_mem[r], y_mem[r], rho_mem[r] = 0.0, 0.0, 0.0
+            found[retry], x_new[retry], f_new[retry], g_new[retry] = search(r)
+        active[rows[~found]] = False
+        rows, x_new, f_new, g_new = rows[found], x_new[found], f_new[found], g_new[found]
+        s, y = x_new - x[rows], g_new - g[rows]
+        sy = _dot(s, y)
+        keep = sy > np.finfo(float).eps * -_dot(g[rows], s)
+        r = rows[keep]
+        s_mem[r, 1:], y_mem[r, 1:], rho_mem[r, 1:] = s_mem[r, :-1], y_mem[r, :-1], rho_mem[r, :-1]
+        s_mem[r, 0], y_mem[r, 0], rho_mem[r, 0] = s[keep], y[keep], 1.0 / sy[keep]
+        f_old = f[rows]
+        x[rows], f[rows], g[rows] = x_new, f_new, g_new
+        nit[rows] += 1
+        done = ((np.max(np.abs(g_new), axis=1) <= pgtol[rows])
+                | (f_old - f_new <= rel_tol * np.maximum(
+                    np.maximum(np.abs(f_old), np.abs(f_new)), 1.0)))
+        out_of_iters = nit[rows] >= max_iters
+        converged[rows] = done & ~out_of_iters
+        active[rows] = ~done & ~out_of_iters
+        history.append(f.copy())
+    return x, converged, np.array(history)

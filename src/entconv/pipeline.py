@@ -19,9 +19,9 @@ from .reference import REFERENCE_VALUES
 from .reports import emit_keyvalues, emit_report
 from .states import MetricReport, bell_state, fidelity, purity, tangle, werner_state
 from .tomography import (MonteCarloErrors, TomographyOptions, TomographyResult,
-                         identity_chi, mle_process, mle_state, monte_carlo_errors,
-                         process_fidelity, process_purity, subtract_accidentals,
-                         tomography_settings)
+                         identity_chi, mle_process, mle_process_batch, mle_state,
+                         mle_state_batch, monte_carlo_errors, process_fidelity,
+                         process_purity, subtract_accidentals, tomography_settings)
 
 COUNT_FILES = {
     "state_input": "counts_state_input.csv",
@@ -108,11 +108,10 @@ def state_metrics_with_errors(records: list[CountRecord], options: TomographyOpt
     target = options.fidelity_target if options.fidelity_target is not None \
         else bell_state("phi+")
 
-    def reconstructor(recs):
-        data = subtract_accidentals(recs) if subtract else recs
-        return mle_state(data, options).estimate
-
-    mc = monte_carlo_errors(records, reconstructor,
+    accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
+    mc = monte_carlo_errors(records,
+                            lambda counts: mle_state_batch(records, counts - accidentals,
+                                                           options),
                             {"fidelity": lambda m: fidelity(m, target),
                              "purity": purity, "tangle": tangle},
                             mc_samples, seed)
@@ -130,10 +129,8 @@ def process_metrics_with_errors(records: list[CountRecord], options: TomographyO
     result = mle_process(records, options)
     ideal = options.process_ideal if options.process_ideal is not None else identity_chi()
 
-    def reconstructor(recs):
-        return mle_process(recs, options).estimate
-
-    mc = monte_carlo_errors(records, reconstructor,
+    mc = monte_carlo_errors(records,
+                            lambda counts: mle_process_batch(records, counts, options),
                             {"fidelity": lambda m: process_fidelity(m, ideal),
                              "purity": process_purity},
                             mc_samples, seed)

@@ -13,19 +13,27 @@ analytic gradients; the process gradient is pulled back through the
 retraction by the chain rule, with the derivative of G^{-1/2} taken from its
 eigendecomposition (Daleckii-Krein divided differences).
 
+Both objectives take a leading batch axis: one row per count table, rows
+independent. A single fit is the one-row case, maximized by scipy's
+L-BFGS-B. Monte-Carlo error bars fit all resamples of a stage at once with
+``lbfgs.minimize_rows``, the same iteration vectorised over rows; the scipy
+fit is the reference it is tested against.
+
 Records are always fitted in canonical setting order, so the projector
 stacks and the linear-inversion design matrix are built once, at import.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from typing import Callable
 
 import numpy as np
 from scipy import optimize
 
-from .counts import CountRecord
+from .counts import CountRecord, poisson_resamples
+from .lbfgs import minimize_rows
 from .states import (MetricReport, PAULIS, PROJECTOR_LABELS, bell_state, fidelity,
                      projector, purity, tangle)
 
@@ -43,6 +51,11 @@ _TRIU_R, _TRIU_C = np.triu_indices(4, 1)
 
 #: Probabilities below this floor are clipped in both likelihoods.
 _P_FLOOR = 1e-12
+
+#: (gtol, L-BFGS memory) of the state and of the process fit, for the scipy
+#: point fits and the batched resample fits alike.
+_STATE_LBFGS = (1e-10, 20)
+_PROCESS_LBFGS = (1e-8, 10)
 
 
 def tomography_settings(kind: str) -> list[tuple[str, str]]:
@@ -70,8 +83,10 @@ def _kron_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 _LABEL_PROJS = np.array([projector(l) for l in PROJECTOR_LABELS])
 
-#: P_a x P_b of each canonical state-tomography setting.
+#: P_a x P_b of each canonical state-tomography setting, and their flattened
+#: transposes, so that p_s = Tr[P_s g] is one matrix product.
 _STATE_PROJS = _kron_grid(_LABEL_PROJS, _LABEL_PROJS).reshape(36, 4, 4)
+_STATE_PROJS_T = _STATE_PROJS.transpose(0, 2, 1).reshape(36, 16)
 
 #: W_s = P_meas x rho_in^T of each canonical (input, measurement) setting, so
 #: that p_s = Tr[W_s J]; flattened transposes make that one matrix product.
@@ -94,6 +109,20 @@ def _design_matrix() -> np.ndarray:
 _DESIGN = _design_matrix()
 
 
+def _param_map() -> np.ndarray:
+    """Row k is the row-major upper-triangular T that parameter k alone builds."""
+    m = np.zeros((16, 16), dtype=complex)
+    triu = 4 * _TRIU_R + _TRIU_C
+    m[range(4), (0, 5, 10, 15)] = 1.0
+    m[range(4, 10), triu] = 1.0
+    m[range(10, 16), triu] = 1j
+    return m
+
+
+_T_OF_PARAMS = _param_map()
+_PARAMS_OF_T = _T_OF_PARAMS.conj().T
+
+
 def subtract_accidentals(records: list[CountRecord]) -> list[CountRecord]:
     """Subtract each record's accidental estimate from its coincidences.
 
@@ -103,42 +132,30 @@ def subtract_accidentals(records: list[CountRecord]) -> list[CountRecord]:
             for r in records]
 
 
-def _sorted_label_records(records: list[CountRecord]) -> list[CountRecord]:
-    """Validate a complete 36-setting label dataset and order it canonically."""
+def _canonical_order(records: list[CountRecord]) -> np.ndarray:
+    """Validate a complete 36-setting label dataset; the index of the record
+    of each canonical setting."""
     if len(records) != 36:
         raise ReconstructionError(f"expected 36 records, got {len(records)}")
     by_setting = {}
-    for r in records:
+    for i, r in enumerate(records):
         if r.setting_a not in _LABEL_INDEX or r.setting_b not in _LABEL_INDEX:
             raise ReconstructionError(
                 f"tomography requires label settings, got ({r.setting_a!r}, {r.setting_b!r})")
         key = (r.setting_a, r.setting_b)
         if key in by_setting:
             raise ReconstructionError(f"duplicate setting {key}")
-        by_setting[key] = r
-    return [by_setting[s] for s in _SETTINGS]
-
-
-def _rates(ordered: list[CountRecord]) -> np.ndarray:
-    return np.array([r.coincidences / r.duration for r in ordered])
+        by_setting[key] = i
+    return np.array([by_setting[s] for s in _SETTINGS])
 
 
 def _group_sums(rates: np.ndarray) -> np.ndarray:
-    """Summed rate of each of the nine basis-pair groups (canonical order)."""
-    return np.bincount(_GROUP, weights=rates, minlength=9)
+    """Summed rate of each of the nine basis-pair groups, per row of (B, 36) rates.
 
-
-def _flux_rate(ordered: list[CountRecord]) -> float:
-    """Total pair rate estimated from the nine complete basis-pair groups.
-
-    Within one group the four joint projectors sum to the identity, so the
-    group's summed rate estimates the same total flux; the groups are
-    averaged.
+    Labels come in basis pairs (H V, D A, R L), so setting 6 a + b belongs to
+    group 3 (a // 2) + b // 2.
     """
-    rate = float(np.mean(_group_sums(_rates(ordered))))
-    if rate <= 0.0:
-        raise ReconstructionError("all counts are zero; cannot normalize")
-    return rate
+    return rates.reshape(-1, 3, 2, 3, 2).sum(axis=(2, 4)).reshape(-1, 9)
 
 
 @dataclass
@@ -175,87 +192,45 @@ class TomographyResult:
     history: list[float] = field(default_factory=list, repr=False)
 
 
+@dataclass
+class BatchFit:
+    """Fits of B count tables that share their settings and durations, row b
+    for table b. ``failed`` rows (nothing to normalize) hold NaN; a fit that
+    stopped on ``max_iters`` or a failed line search is not ``converged``.
+    ``history`` is the raw-count log-likelihood per batch iteration."""
+
+    estimates: np.ndarray
+    log_likelihood: np.ndarray
+    converged: np.ndarray
+    failed: np.ndarray
+    history: np.ndarray = field(repr=False)
+
+
+def _drops(history: np.ndarray) -> np.ndarray:
+    """Where a log-likelihood history (iterations along axis 0) decreases."""
+    prev, cur = history[:-1], history[1:]
+    return cur < prev - 1e-9 * np.maximum(1.0, np.abs(prev))
+
+
 def _check_monotone(history: list[float]) -> None:
-    for prev, cur in zip(history, history[1:]):
-        if cur < prev - 1e-9 * max(1.0, abs(prev)):
-            raise ReconstructionError(
-                f"log-likelihood decreased from {prev!r} to {cur!r}")
+    drops = np.flatnonzero(_drops(np.array(history)))
+    if drops.size:
+        i = drops[0]
+        raise ReconstructionError(
+            f"log-likelihood decreased from {history[i]!r} to {history[i + 1]!r}")
 
 
 # ---------------------------------------------------------------------------
 # likelihood core
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Objective:
-    """Negative Poisson log-likelihood of one fit, at unit count scale.
+def _dag(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
-    ``fun(t)`` returns the value and its analytic gradient. Counts are divided
-    by their mean ``scale`` so that the landscape (hence the estimate) is
-    invariant under a global rescaling of all counts; ``loglik`` maps a value
-    back to the log-likelihood of the raw counts.
-    """
-
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    counts: np.ndarray
-    scale: float
-    raw_total: float
-
-    def loglik(self, value: float) -> float:
-        # sum n log mu - mu at raw scale is s * (scaled sum) + log(s) * sum n
-        return -self.scale * value + float(np.log(self.scale)) * self.raw_total
-
-
-def _scaled_counts(ordered: list[CountRecord]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raw counts, the same counts at unit mean, and their mean ``scale``."""
-    raw_counts = np.array([max(0.0, r.coincidences) for r in ordered])
-    if np.all(raw_counts == 0):
-        raise ReconstructionError("all counts are zero")
-    scale = raw_counts.sum() / raw_counts.size
-    return raw_counts, raw_counts / scale, scale
-
-
-def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):
-    """Negative log-likelihood at probabilities p, the clipped p, mu and weights.
-
-    The weight w_s = dll/dp_s is zero where p_s is clipped at the floor,
-    because the clipped objective does not depend on p_s there.
-    """
-    c = np.clip(p, _P_FLOOR, None)
-    mu = norms * c
-    nll = -float(np.sum(counts * np.log(mu) - mu))
-    w = np.where(p < _P_FLOOR, 0.0, counts / c - norms)
-    return nll, c, mu, w
-
-
-def _maximize(objective: Objective, t0: np.ndarray, opts: TomographyOptions,
-              gtol: float, maxcor: int) -> tuple[optimize.OptimizeResult, list[float]]:
-    """L-BFGS-B on ``objective``; history holds the raw log-likelihood per iterate."""
-    history = [objective.loglik(objective.fun(t0)[0])]
-
-    # SciPy >= 1.11 passes the OptimizeResult at x_k to a callback whose
-    # parameter is named intermediate_result; its ``fun`` is the value the
-    # optimizer already computed there.
-    def record_step(intermediate_result):
-        history.append(objective.loglik(intermediate_result.fun))
-
-    res = optimize.minimize(
-        objective.fun, t0, jac=True, method="L-BFGS-B", callback=record_step,
-        options={"maxiter": opts.max_iters, "ftol": opts.rel_tol,
-                 "gtol": gtol * max(1.0, objective.counts.sum()), "maxcor": maxcor})
-    _check_monotone(history)
-    return res, history
-
-
-# ---------------------------------------------------------------------------
-# state tomography
-# ---------------------------------------------------------------------------
 
 def _params_to_t(t: np.ndarray) -> np.ndarray:
-    T = np.zeros((4, 4), dtype=complex)
-    T[np.diag_indices(4)] = t[:4]
-    T[_TRIU_R, _TRIU_C] = t[4:10] + 1j * t[10:16]
-    return T
+    """Upper-triangular T of each row of parameters (last axis 16)."""
+    return (t @ _T_OF_PARAMS).reshape(t.shape[:-1] + (4, 4))
 
 
 def _t_to_params(T: np.ndarray) -> np.ndarray:
@@ -264,27 +239,245 @@ def _t_to_params(T: np.ndarray) -> np.ndarray:
     Applied to the Wirtinger derivative dll/dT^* of a real function ll, it
     gives half the gradient of ll over the 16 parameters.
     """
-    t = np.zeros(16)
-    t[:4] = np.real(np.diag(T))
-    t[4:10] = np.real(T[_TRIU_R, _TRIU_C])
-    t[10:16] = np.imag(T[_TRIU_R, _TRIU_C])
-    return t
+    return np.real(T.reshape(T.shape[:-2] + (16,)) @ _PARAMS_OF_T)
 
+
+def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):
+    """Negative log-likelihood per row at probabilities p (B, 36), the clipped
+    p, mu and weights.
+
+    The weight w_s = dll/dp_s is zero where p_s is clipped at the floor,
+    because the clipped objective does not depend on p_s there.
+    """
+    c = np.clip(p, _P_FLOOR, None)
+    mu = norms * c
+    nll = -np.sum(counts * np.log(mu) - mu, axis=1)
+    w = np.where(p < _P_FLOOR, 0.0, counts / c - norms)
+    return nll, c, mu, w
+
+
+def _state_nll(t, counts, norms, fit_normalization):
+    T = _params_to_t(t[:, :16])
+    g = _dag(T) @ T
+    tau = np.real(np.trace(g, axis1=1, axis2=2))[:, None, None]
+    if fit_normalization:
+        norms = np.exp(t[:, 16:]) * norms
+    p = np.real((g / tau).reshape(-1, 16) @ _STATE_PROJS_T.T)
+    nll, c, mu, w = _poisson_terms(p, counts, norms)
+    m = (w @ _STATE_PROJS.reshape(36, 16)).reshape(-1, 4, 4)
+    wc = np.sum(w * c, axis=1)[:, None, None]
+    grad = 2.0 * _t_to_params((T @ m - wc * T) / tau)
+    if fit_normalization:
+        grad = np.concatenate([grad, np.sum(counts - mu, axis=1)[:, None]], axis=1)
+    return nll, -grad
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """(B, 4, 4) operators on out x in as 2x2 grids of 2x2 blocks on the input.
+
+    X = I x S acts blockwise: (X a X)[k, l] = S a[k, l] S.
+    """
+    return a.reshape(-1, 2, 2, 2, 2).swapaxes(2, 3)
+
+
+def _from_blocks(b: np.ndarray) -> np.ndarray:
+    return b.swapaxes(2, 3).reshape(-1, 4, 4)
+
+
+def _retraction(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trace-preserving Choi matrices X j X, X = I x S, S = G^{-1/2} for
+    G = Tr_out j, of a (B, 4, 4) stack, with S, the square roots of G's
+    eigenvalues and its eigenvectors."""
+    jb = _blocks(j)
+    lam, v = np.linalg.eigh(jb[:, 0, 0] + jb[:, 1, 1])
+    r = np.sqrt(np.clip(lam, 1e-14, None))
+    s = (v * (1.0 / r)[:, None, :]) @ _dag(v)
+    sb = s[:, None, None]
+    return _from_blocks(sb @ jb @ sb), s, r, v
+
+
+def _process_nll(t, counts, norms, retract):
+    T = _params_to_t(t)
+    j = _dag(T) @ T
+    if retract:
+        choi, s, r, v = _retraction(j)
+    else:
+        choi = j
+    nll, _, _, w = _poisson_terms(np.real(choi.reshape(-1, 16) @ _PROCESS_W_T.T),
+                                  counts, norms)
+    k = (w @ _PROCESS_W.reshape(36, 16)).reshape(-1, 4, 4)  # dll = Tr[K dJ]
+    if retract:
+        # J = X j X with X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS] with
+        # q = Tr_out(j X K + K X j), and dS = V (F o V^dag dG V) V^dag
+        # where F_ab = -1 / (r_a r_b (r_a + r_b)) and dG = Tr_out dj.
+        sb = s[:, None, None]
+        xk = sb @ _blocks(k)
+        q = j @ _from_blocks(xk)
+        qb = _blocks(q + _dag(q))
+        ra, rb = r[:, :, None], r[:, None, :]
+        f = -1.0 / (ra * rb * (ra + rb))
+        vh = _dag(v)
+        dg = v @ (f * (vh @ (qb[:, 0, 0] + qb[:, 1, 1]) @ v)) @ vh
+        kb = xk @ sb
+        kb[:, 0, 0] += dg
+        kb[:, 1, 1] += dg
+        k = _from_blocks(kb)
+    return nll, -2.0 * _t_to_params(T @ k)
+
+
+@dataclass(frozen=True)
+class Objective:
+    """Negative Poisson log-likelihoods of B independent fits, at unit count scale.
+
+    ``core(t, counts, norms)`` returns the value and analytic gradient of
+    every row of ``t`` (shape (k, n_params)) against the same rows of counts
+    and norms; rows never interact. ``rows(t, idx)`` evaluates fits ``idx``;
+    ``fun(t)`` is fit 0 as the scalar function scipy minimizes. Counts are
+    divided by their per-fit mean ``scale`` so that the landscape (hence the
+    estimate) is invariant under a global rescaling of all counts;
+    ``loglik`` maps a value back to the log-likelihood of the raw counts.
+    """
+
+    core: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    counts: np.ndarray
+    norms: np.ndarray
+    scale: np.ndarray
+    raw_total: np.ndarray
+
+    def rows(self, t: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.core(t, self.counts[idx], self.norms[idx])
+
+    def fun(self, t: np.ndarray) -> tuple[float, np.ndarray]:
+        nll, grad = self.core(t[None], self.counts[:1], self.norms[:1])
+        return nll[0], grad[0]
+
+    def pgtol(self, gtol: float) -> np.ndarray:
+        """Per-fit gradient tolerance: gtol * max(1, sum of unit counts)."""
+        return gtol * np.maximum(1.0, self.counts.sum(axis=1))
+
+    def loglik(self, value, idx=0):
+        # sum n log mu - mu at raw scale is s * (scaled sum) + log(s) * sum n
+        return -self.scale[idx] * value + np.log(self.scale[idx]) * self.raw_total[idx]
+
+
+def _unit_counts(raw: np.ndarray):
+    """Counts at unit mean per row of (B, 36) raw counts, the row means
+    ``scale``, the row totals and the rows without any count."""
+    total = raw.sum(axis=1)
+    empty = total == 0
+    scale = np.where(empty, 1.0, total / raw.shape[1])
+    return raw / scale[:, None], scale, total, empty
+
+
+def _state_problem(durations: np.ndarray, raw: np.ndarray,
+                   fit_normalization: bool) -> tuple[Objective, np.ndarray]:
+    """``state_objective`` of (B, 36) canonical raw counts, and its rows
+    without counts. The flux N is the mean summed rate of the nine basis-pair
+    groups, whose four joint projectors sum to the identity."""
+    counts, scale, total, empty = _unit_counts(raw)
+    flux = np.mean(_group_sums(raw / durations), axis=1)
+    norms = flux[:, None] * durations / scale[:, None]
+    core = partial(_state_nll, fit_normalization=fit_normalization)
+    return Objective(core, counts, norms, scale, total), empty
+
+
+def _process_problem(durations: np.ndarray, raw: np.ndarray, tp_mode: str):
+    """``process_objective`` of (B, 36) canonical raw counts, its rows
+    without counts and, per row, the input states without counts."""
+    counts, scale, total, empty = _unit_counts(raw)
+    flux = (raw / durations).reshape(-1, 6, 6).sum(axis=2) / 3.0
+    norms = np.repeat(flux, 6, axis=1) * durations / scale[:, None]
+    core = partial(_process_nll, retract=tp_mode == "constrain")
+    return Objective(core, counts, norms, scale, total), empty, flux <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# optimizers
+# ---------------------------------------------------------------------------
+
+def _maximize(objective: Objective, t0: np.ndarray, opts: TomographyOptions,
+              gtol: float, maxcor: int) -> tuple[optimize.OptimizeResult, list[float]]:
+    """L-BFGS-B on fit 0 of ``objective``; history holds the raw log-likelihood
+    per iterate."""
+    history = []
+
+    def fun(t):
+        value, grad = objective.fun(t)
+        if not history:  # L-BFGS-B evaluates t0 first
+            history.append(objective.loglik(value))
+        return value, grad
+
+    # SciPy >= 1.11 passes the OptimizeResult at x_k to a callback whose
+    # parameter is named intermediate_result; its ``fun`` is the value the
+    # optimizer already computed there.
+    def record_step(intermediate_result):
+        history.append(objective.loglik(intermediate_result.fun))
+
+    res = optimize.minimize(
+        fun, t0, jac=True, method="L-BFGS-B", callback=record_step,
+        options={"maxiter": opts.max_iters, "ftol": opts.rel_tol,
+                 "gtol": objective.pgtol(gtol)[0], "maxcor": maxcor})
+    _check_monotone(history)
+    return res, history
+
+
+def _fit_batch(objective: Objective, t0: np.ndarray, failed: np.ndarray,
+               opts: TomographyOptions, lbfgs: tuple[float, int],
+               estimate: Callable[[np.ndarray], np.ndarray]) -> BatchFit:
+    """Minimize every fit of ``objective`` not marked failed with the stopping
+    rules of ``_maximize``; a fit whose likelihood history falls fails too."""
+    gtol, maxcor = lbfgs
+    x, converged, history = minimize_rows(objective.rows, t0, ~failed, objective.pgtol(gtol),
+                                          opts.rel_tol, opts.max_iters, maxcor)
+    loglik = objective.loglik(history, slice(None))
+    failed = failed | np.any(_drops(loglik), axis=0)
+    estimates = estimate(x)
+    estimates[failed] = np.nan
+    loglik[:, failed] = np.nan
+    return BatchFit(estimates=estimates, log_likelihood=loglik[-1],
+                    converged=converged & ~failed, failed=failed, history=loglik)
+
+
+def _batch_table(records: list[CountRecord], counts) -> tuple[np.ndarray, np.ndarray]:
+    """Durations and (B, 36) clamped counts, both in canonical order, of the
+    count rows ``counts`` given in the order of ``records``."""
+    order = _canonical_order(records)
+    durations = np.array([records[i].duration for i in order])
+    return durations, np.maximum(np.asarray(counts, dtype=float)[:, order], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# state tomography
+# ---------------------------------------------------------------------------
 
 def _rho_of_params(t: np.ndarray) -> np.ndarray:
     T = _params_to_t(t)
-    g = T.conj().T @ T
-    return g / float(np.real(np.trace(g)))
+    g = _dag(T) @ T
+    return g / np.real(np.trace(g, axis1=-2, axis2=-1))[..., None, None]
 
 
 def _params_of_rho(rho: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    """Parameters whose reconstruction is the PSD projection of ``rho``."""
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    """Parameters whose reconstruction is the PSD projection of ``rho``
+    (one matrix or a stack)."""
+    w, v = np.linalg.eigh((rho + _dag(rho)) / 2.0)
     w = np.clip(w, floor, None)
-    r = (v * w) @ v.conj().T
-    r /= float(np.real(np.trace(r)))
-    T = np.linalg.cholesky(r).conj().T
-    return _t_to_params(T)
+    r = (v * w[..., None, :]) @ _dag(v)
+    r /= np.real(np.trace(r, axis1=-2, axis2=-1))[..., None, None]
+    return _t_to_params(_dag(np.linalg.cholesky(r)))
+
+
+def _inversion(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``linear_inversion_state`` of (B, 36) canonical rates, and per row the
+    first setting whose basis group has no counts (-1 if none; otherwise the
+    row's state is meaningless)."""
+    group_tot = _group_sums(rates)[:, _GROUP]
+    empty = group_tot <= 0.0
+    first_empty = np.where(empty.any(axis=1), np.argmax(empty, axis=1), -1)
+    p = rates / np.where(empty, 1.0, group_tot)
+    x = np.linalg.lstsq(_DESIGN, p.T, rcond=None)[0].T
+    rho = (x @ _HERM_BASIS.reshape(16, 16)).reshape(-1, 4, 4)
+    trace = np.real(np.trace(rho, axis1=1, axis2=2))
+    return rho / np.where(first_empty < 0, trace, 1.0)[:, None, None], first_empty
 
 
 def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
@@ -295,15 +488,13 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
     Hermitian operator basis. Used as an independent cross-check on (and a
     starting point for) the likelihood fit.
     """
-    rates = _rates(_sorted_label_records(records))
-    group_tot = _group_sums(rates)[_GROUP]
-    empty = np.flatnonzero(group_tot <= 0.0)
-    if empty.size:
-        a, b = _SETTINGS[empty[0]]
+    order = _canonical_order(records)
+    rates = np.array([[records[i].coincidences / records[i].duration for i in order]])
+    rho, first_empty = _inversion(rates)
+    if first_empty[0] >= 0:
+        a, b = _SETTINGS[first_empty[0]]
         raise ReconstructionError(f"basis group of ({a}, {b}) has zero counts")
-    x, *_ = np.linalg.lstsq(_DESIGN, rates / group_tot, rcond=None)
-    rho = (x[:, None, None] * _HERM_BASIS).sum(axis=0)
-    return rho / float(np.real(np.trace(rho)))
+    return rho[0]
 
 
 def state_objective(records: list[CountRecord],
@@ -314,25 +505,11 @@ def state_objective(records: list[CountRecord],
     flux N is estimated from the complete basis groups, or scaled by
     exp(t[16]) when ``fit_normalization`` is set.
     """
-    ordered = _sorted_label_records(records)
-    raw_counts, counts, scale = _scaled_counts(ordered)
-    durations = np.array([r.duration for r in ordered])
-    base_norms = _flux_rate(ordered) * durations / scale
-
-    def fun(t):
-        T = _params_to_t(t[:16])
-        g = T.conj().T @ T
-        tau = float(np.real(np.trace(g)))
-        norms = np.exp(t[16]) * base_norms if fit_normalization else base_norms
-        p = np.real(np.einsum("sij,ji->s", _STATE_PROJS, g / tau))
-        nll, c, mu, w = _poisson_terms(p, counts, norms)
-        m = np.tensordot(w, _STATE_PROJS, axes=(0, 0))
-        grad = 2.0 * _t_to_params((T @ m - float(np.dot(w, c)) * T) / tau)
-        if fit_normalization:
-            grad = np.append(grad, float(np.sum(counts - mu)))
-        return nll, -grad
-
-    return Objective(fun, counts, scale, float(raw_counts.sum()))
+    durations, raw = _batch_table(records, [[r.coincidences for r in records]])
+    objective, empty = _state_problem(durations, raw, fit_normalization)
+    if empty[0]:
+        raise ReconstructionError("all counts are zero")
+    return objective
 
 
 def mle_state(records: list[CountRecord],
@@ -353,7 +530,7 @@ def mle_state(records: list[CountRecord],
             t0 = _params_of_rho(np.eye(4) / 4.0)
     if opts.fit_normalization:
         t0 = np.append(t0, 0.0)
-    res, history = _maximize(objective, t0, opts, 1e-10, maxcor=20)
+    res, history = _maximize(objective, t0, opts, *_STATE_LBFGS)
     rho_hat = _rho_of_params(res.x[:16])
     target = opts.fidelity_target if opts.fidelity_target is not None else bell_state("phi+")
     metrics = MetricReport(fidelity=fidelity(rho_hat, target), purity=purity(rho_hat),
@@ -361,6 +538,31 @@ def mle_state(records: list[CountRecord],
     return TomographyResult(estimate=rho_hat, log_likelihood=history[-1],
                             iterations=int(res.nit), converged=bool(res.success),
                             metrics=metrics, kind="state", history=history)
+
+
+def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
+                    options: TomographyOptions | None = None) -> BatchFit:
+    """``mle_state`` of many count tables at once.
+
+    ``records`` give the settings and durations; row b of ``counts`` (shape
+    (B, 36), in the order of ``records``) replaces their coincidences,
+    clamped at zero. All rows are fitted together by ``lbfgs.minimize_rows``
+    with the objective, warm start and stopping rules of ``mle_state``. A row
+    without counts fails.
+    """
+    opts = options or TomographyOptions()
+    durations, raw = _batch_table(records, counts)
+    objective, failed = _state_problem(durations, raw, opts.fit_normalization)
+    rho0 = np.tile(np.eye(4, dtype=complex) / 4.0, (len(raw), 1, 1))
+    if opts.start == "inversion":
+        rho_li, first_empty = _inversion(raw / durations)
+        rho0[first_empty < 0] = rho_li[first_empty < 0]
+    t0 = _params_of_rho(rho0)
+    if opts.fit_normalization:
+        t0 = np.column_stack([t0, np.zeros(len(t0))])
+    return _fit_batch(objective, t0, failed, opts, _STATE_LBFGS,
+                      lambda x: _rho_of_params(x[:, :16]))
+
 
 # ---------------------------------------------------------------------------
 # process tomography
@@ -377,6 +579,9 @@ def _chi_basis_matrix() -> np.ndarray:
 
 _CHI_BASIS = _chi_basis_matrix()
 _CHI_BASIS_INV = np.linalg.inv(_CHI_BASIS)
+
+#: Parameters of the process fit's start, a Choi factor near the identity.
+_PROCESS_START = np.concatenate([[1.0, 1.0, 0.05, 0.05], np.zeros(12)])
 
 
 def channel_chi(apply_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -434,38 +639,22 @@ def check_chi_matrix(chi: np.ndarray, require_tp: bool = False,
     return chi
 
 
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """A 4x4 operator on out x in as its 2x2 grid of 2x2 blocks on the input.
+def _chi_of_params(t: np.ndarray, retract: bool) -> np.ndarray:
+    """Chi matrices of (B, 16) Choi-factor parameters.
 
-    X = I x S acts blockwise: (X a X)[k, l] = S a[k, l] S.
+    E(|i><j|)[o1, o2] = J[2 o1 + i, 2 o2 + j]; its column-major vec, stacked
+    over the input basis, is the chi matrix in the Pauli-product basis.
     """
-    return a.reshape(2, 2, 2, 2).swapaxes(1, 2)
-
-
-def _from_blocks(b: np.ndarray) -> np.ndarray:
-    return b.swapaxes(1, 2).reshape(4, 4)
-
-
-def _retraction(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The trace-preserving Choi matrix X j X, X = I x S, S = G^{-1/2} for
-    G = Tr_out j, with S, the square roots of G's eigenvalues and its
-    eigenvectors."""
-    jb = _blocks(j)
-    lam, v = np.linalg.eigh(jb[0, 0] + jb[1, 1])
-    r = np.sqrt(np.clip(lam, 1e-14, None))
-    s = (v * (1.0 / r)) @ v.conj().T
-    return _from_blocks(s @ jb @ s), s, r, v
-
-
-def _chi_of_choi(j: np.ndarray) -> np.ndarray:
-    smat = np.zeros((4, 4), dtype=complex)
-    j4 = j.reshape(2, 2, 2, 2)
-    for jj in range(2):
-        for ii in range(2):
-            # E(|ii><jj|)[o1, o2] = J4[o1, ii, o2, jj]
-            out = j4[:, ii, :, jj]
-            smat[:, 2 * jj + ii] = out.reshape(-1, order="F")
-    return (_CHI_BASIS_INV @ smat.reshape(-1, order="F")).reshape(4, 4)
+    T = _params_to_t(t)
+    j = _dag(T) @ T
+    if retract:
+        j = _retraction(j)[0]
+    vec = j.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 2, 3, 1).reshape(-1, 16)
+    chi = (vec @ _CHI_BASIS_INV.T).reshape(-1, 4, 4)
+    chi = (chi + _dag(chi)) / 2.0
+    if not retract:
+        chi = chi / np.real(np.trace(chi, axis1=1, axis2=2))[:, None, None]
+    return chi
 
 
 def process_objective(records: list[CountRecord], tp_mode: str = "constrain") -> Objective:
@@ -479,46 +668,14 @@ def process_objective(records: list[CountRecord], tp_mode: str = "constrain") ->
     """
     if tp_mode not in ("constrain", "normalize"):
         raise ValueError(f"unknown tp_mode {tp_mode!r}")
-    retract = tp_mode == "constrain"
-    ordered = _sorted_label_records(records)
-    raw_counts, counts, scale = _scaled_counts(ordered)
-    durations = np.array([r.duration for r in ordered])
-    rates = raw_counts / durations
-    norms = np.empty(36)
-    for k in range(6):
-        sl = slice(6 * k, 6 * k + 6)
-        flux = float(np.sum(rates[sl])) / 3.0
-        if flux <= 0.0:
-            raise ReconstructionError(
-                f"input state {PROJECTOR_LABELS[k]!r} has zero counts")
-        norms[sl] = flux * durations[sl] / scale
-
-    def fun(t):
-        T = _params_to_t(t)
-        j = T.conj().T @ T
-        if retract:
-            choi, s, r, v = _retraction(j)
-        else:
-            choi = j
-        nll, _, _, w = _poisson_terms(np.real(_PROCESS_W_T @ choi.ravel()), counts, norms)
-        k = np.tensordot(w, _PROCESS_W, axes=(0, 0))  # dll = Tr[K dJ]
-        if retract:
-            # J = X j X with X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS] with
-            # q = Tr_out(j X K + K X j), and dS = V (F o V^dag dG V) V^dag
-            # where F_ab = -1 / (r_a r_b (r_a + r_b)) and dG = Tr_out dj.
-            xk = s @ _blocks(k)
-            q = j @ _from_blocks(xk)
-            qb = _blocks(q + q.conj().T)
-            f = -1.0 / (np.outer(r, r) * (r[:, None] + r[None, :]))
-            vh = v.conj().T
-            dg = v @ (f * (vh @ (qb[0, 0] + qb[1, 1]) @ v)) @ vh
-            kb = xk @ s
-            kb[0, 0] += dg
-            kb[1, 1] += dg
-            k = _from_blocks(kb)
-        return nll, -2.0 * _t_to_params(T @ k)
-
-    return Objective(fun, counts, scale, float(raw_counts.sum()))
+    durations, raw = _batch_table(records, [[r.coincidences for r in records]])
+    objective, empty, dark = _process_problem(durations, raw, tp_mode)
+    if empty[0]:
+        raise ReconstructionError("all counts are zero")
+    if dark[0].any():
+        raise ReconstructionError(
+            f"input state {PROJECTOR_LABELS[np.argmax(dark[0])]!r} has zero counts")
+    return objective
 
 
 def mle_process(records: list[CountRecord],
@@ -532,24 +689,32 @@ def mle_process(records: list[CountRecord],
     """
     opts = options or TomographyOptions()
     objective = process_objective(records, opts.tp_mode)
-    t0 = np.zeros(16)
-    t0[:4] = (1.0, 1.0, 0.05, 0.05)
-    res, history = _maximize(objective, t0, opts, 1e-8, maxcor=10)
-    retract = opts.tp_mode == "constrain"
-    T = _params_to_t(res.x)
-    j_hat = T.conj().T @ T
-    if retract:
-        j_hat = _retraction(j_hat)[0]
-    chi_hat = _chi_of_choi(j_hat)
-    chi_hat = (chi_hat + chi_hat.conj().T) / 2.0
-    if not retract:
-        chi_hat = chi_hat / float(np.real(np.trace(chi_hat)))
+    res, history = _maximize(objective, _PROCESS_START, opts, *_PROCESS_LBFGS)
+    chi_hat = _chi_of_params(res.x[None], opts.tp_mode == "constrain")[0]
     ideal = opts.process_ideal if opts.process_ideal is not None else identity_chi()
     metrics = MetricReport(fidelity=process_fidelity(chi_hat, ideal),
                            purity=process_purity(chi_hat), tangle=None)
     return TomographyResult(estimate=chi_hat, log_likelihood=history[-1],
                             iterations=int(res.nit), converged=bool(res.success),
                             metrics=metrics, kind="process", history=history)
+
+
+def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
+                      options: TomographyOptions | None = None) -> BatchFit:
+    """``mle_process`` of many count tables at once.
+
+    As ``mle_state_batch``, with the objective, start and stopping rules of
+    ``mle_process``. A row without counts, or with an input state without
+    counts, fails.
+    """
+    opts = options or TomographyOptions()
+    durations, raw = _batch_table(records, counts)
+    objective, empty, dark = _process_problem(durations, raw, opts.tp_mode)
+    failed = empty | dark.any(axis=1)
+    t0 = np.tile(_PROCESS_START, (len(raw), 1))
+    retract = opts.tp_mode == "constrain"
+    return _fit_batch(objective, t0, failed, opts, _PROCESS_LBFGS,
+                      lambda x: _chi_of_params(x, retract))
 
 
 def process_fidelity(chi: np.ndarray, ideal: np.ndarray) -> float:
@@ -571,45 +736,44 @@ def process_purity(chi: np.ndarray) -> float:
 
 @dataclass
 class MonteCarloErrors:
-    """Per-metric sample means and standard deviations over MC resamples."""
+    """Per-metric sample means and standard deviations over MC resamples.
+
+    ``n_failed`` resamples could not be reconstructed and are left out;
+    ``n_unconverged`` were reconstructed by a fit that stopped on its
+    iteration limit or a failed line search, and are kept.
+    """
 
     means: dict[str, float]
     std_errors: dict[str, float]
     n_samples: int
     n_failed: int
+    n_unconverged: int
 
 
 def monte_carlo_errors(records: list[CountRecord],
-                       reconstructor: Callable[[list[CountRecord]], np.ndarray],
+                       reconstructor: Callable[[np.ndarray], BatchFit],
                        metrics: dict[str, Callable[[np.ndarray], float]],
                        n_samples: int, seed: int) -> MonteCarloErrors:
     """Poissonian resampling error bars for reconstruction-derived metrics.
 
-    Each resample redraws every coincidence count from a Poisson law with
-    mean equal to the observed count, reruns ``reconstructor`` and evaluates
-    the metric set. Individual failures are tolerated up to 10% of the
-    samples; beyond that the run aborts.
+    ``poisson_resamples`` redraws every coincidence count from a Poisson law
+    with mean equal to the observed count, ``n_samples`` times.
+    ``reconstructor`` fits all resamples at once: it takes the
+    (n_samples, len(records)) counts, in the order of ``records``, and
+    returns a ``BatchFit`` (see ``mle_state_batch``, ``mle_process_batch``).
+    The metric set is evaluated on every estimate. Failed resamples are
+    tolerated up to 10% of the samples; beyond that the run aborts.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    raw = np.array([max(0.0, r.coincidences) for r in records])
-    values: dict[str, list[float]] = {name: [] for name in metrics}
-    n_failed = 0
-    for s in range(n_samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        resampled = [replace(r, coincidences=float(c))
-                     for r, c in zip(records, rng.poisson(raw))]
-        try:
-            estimate = reconstructor(resampled)
-        except (ReconstructionError, ValueError):
-            n_failed += 1
-            continue
-        for name, fn in metrics.items():
-            values[name].append(float(fn(estimate)))
+    counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)
+    fit = reconstructor(counts)
+    n_failed = int(np.count_nonzero(fit.failed))
     if n_failed > 0.1 * n_samples:
         raise ReconstructionError(
             f"{n_failed}/{n_samples} Monte-Carlo resamples failed to reconstruct")
+    kept = fit.estimates[~fit.failed]
+    values = {name: [float(fn(e)) for e in kept] for name, fn in metrics.items()}
     means = {name: float(np.mean(v)) for name, v in values.items()}
     stds = {name: float(np.std(v, ddof=1)) for name, v in values.items()}
-    return MonteCarloErrors(means=means, std_errors=stds,
-                            n_samples=n_samples, n_failed=n_failed)
+    return MonteCarloErrors(means=means, std_errors=stds, n_samples=n_samples,
+                            n_failed=n_failed,
+                            n_unconverged=int(np.count_nonzero(~fit.converged & ~fit.failed)))

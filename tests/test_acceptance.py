@@ -18,9 +18,9 @@ from entconv.pipeline import run_report, run_simulate
 from entconv.states import (bell_state, fidelity, ket2dm, purity, tangle,
                             trace_distance, werner_state)
 from entconv.tomography import (TomographyOptions, linear_inversion_state, mle_process,
-                                mle_state, monte_carlo_errors, process_fidelity,
-                                process_purity, identity_chi, subtract_accidentals,
-                                tomography_settings)
+                                mle_process_batch, mle_state, mle_state_batch,
+                                monte_carlo_errors, process_fidelity, process_purity,
+                                identity_chi, subtract_accidentals, tomography_settings)
 
 PHI_P = ket2dm(bell_state("phi+"))
 SETTINGS36 = tomography_settings("state2q")
@@ -112,9 +112,10 @@ def test_criterion_4_state_metric_reproduction():
     corrected = mle_state(subtract_accidentals(records), config.tomography)
 
     target = bell_state("phi+")
+    accidentals = np.array([r.accidental_estimate for r in records])
     mc = monte_carlo_errors(
         records,
-        lambda recs: mle_state(subtract_accidentals(recs), config.tomography).estimate,
+        lambda counts: mle_state_batch(records, counts - accidentals, config.tomography),
         {"fidelity": lambda m: fidelity(m, target), "purity": purity, "tangle": tangle},
         n_samples=100, seed=404)
     elapsed = time.perf_counter() - t0
@@ -153,7 +154,7 @@ def test_criterion_5_process_tomography():
     result = mle_process(records, config.tomography)
     ideal = identity_chi()
     mc = monte_carlo_errors(
-        records, lambda recs: mle_process(recs, config.tomography).estimate,
+        records, lambda counts: mle_process_batch(records, counts, config.tomography),
         {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity},
         n_samples=40, seed=505)
     elapsed = time.perf_counter() - t0

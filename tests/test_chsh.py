@@ -170,6 +170,22 @@ class TestSimulatedStatistics:
         sigma_mc = chsh_sigma_resampled(REFERENCE_ANGLES, records, n_samples=400, seed=9)
         assert result.s_sigma == pytest.approx(sigma_mc, rel=0.3)
 
+    def test_resampled_sigma_equals_per_sample_loop(self):
+        # the reference: one resample at a time through chsh_s on rebuilt records
+        from dataclasses import replace
+
+        records = self._simulated_records(100.0, seed=12)
+        raw = np.array([r.coincidences for r in records])
+        values = []
+        for i in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
+            resampled = [replace(r, coincidences=float(c))
+                         for r, c in zip(records, rng.poisson(raw))]
+            values.append(chsh_s(REFERENCE_ANGLES, resampled).s_value)
+        expected = float(np.std(values, ddof=1))
+        sigma = chsh_sigma_resampled(REFERENCE_ANGLES, records, n_samples=200, seed=5)
+        assert sigma == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_value_within_tsirelson_plus_noise_band(self):
         for seed in range(30):
             result = chsh_s(REFERENCE_ANGLES, self._simulated_records(100.0, seed))

@@ -99,6 +99,20 @@ def test_missing_counts_exits_4(tmp_path, config_path):
     assert code == 4
 
 
+def test_invalid_count_data_exits_5(tmp_path, config_path, capsys):
+    out = tmp_path / "out"
+    main(["--config", str(config_path), "--out", str(out), "simulate"])
+    path = out / COUNT_FILES["state_output"]
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[3] = "nan"
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["--config", str(config_path), "--out", str(out), "reconstruct-state"])
+    assert code == 5
+    assert "coincidences must be finite" in capsys.readouterr().err
+
+
 def test_non_convergence_exits_3(tmp_path):
     config = default_config()
     config.tomography.max_iters = 1

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
-from entconv.counts import (CountRecord, coincidence_rate, expected_counts,
+from entconv.counts import (CountDataError, CountRecord, coincidence_rate, expected_counts,
                             expected_process_counts, joint_projector, parse_setting,
-                            read_counts_csv, setting_projector, simulate_counts,
+                            poisson_resamples, read_counts_csv, setting_projector, simulate_counts,
                             simulate_process_counts, stage_seed, substream,
                             write_counts_csv)
 from entconv.states import bell_state, ket2dm, projector
@@ -165,6 +165,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="coincidences must be finite"):
             read_counts_csv(path)
 
+    @pytest.mark.parametrize("row", ["V,H,1.0,abc,5,5,0.5", "V,H,1.0,3.0"])
+    def test_csv_malformed_row_is_count_data_error(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        write_counts_csv(path, [CountRecord("H", "V", 1.0, 3.0, 5, 5, 0.5)])
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(CountDataError, match="line 3"):
+            read_counts_csv(path)
+
 
 class TestStreams:
     def test_substream_stable(self):
@@ -175,6 +183,18 @@ class TestStreams:
         seeds = {stage_seed(42, s)
                  for s in ("state_input", "state_output", "process", "chsh", "monte_carlo")}
         assert len(seeds) == 5
+
+    def test_poisson_resamples_equal_per_sample_streams(self):
+        means = [0.0, 0.4, 3.0, 17.5, 1234.0]
+        draws = poisson_resamples(means, 50, seed=77)
+        assert draws.shape == (50, 5) and draws.dtype == float
+        for s, row in enumerate(draws):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(s,)))
+            assert row.tolist() == [float(c) for c in rng.poisson(np.array(means))]
+
+    def test_poisson_resamples_need_two_samples(self):
+        with pytest.raises(ValueError):
+            poisson_resamples([1.0], 1, seed=0)
 
     def test_stage_seed_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
 """Likelihood objectives: analytic gradients against central finite differences,
 and the raw-count log-likelihood reported by a fit."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import expected_counts, simulate_counts, simulate_process_counts
 from entconv.states import projector, werner_state
-from entconv.tomography import (mle_state, process_objective, state_objective,
-                                tomography_settings)
+from entconv.tomography import (TomographyOptions, _maximize, _params_of_rho, mle_state,
+                                process_objective, state_objective, tomography_settings)
 
 SETTINGS = tomography_settings("state2q")
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
@@ -76,6 +78,23 @@ def test_state_gradient_where_probability_is_clipped():
     p_vv = float(np.real(rho[3, 3] / np.trace(rho)))
     assert 0.0 < p_vv < 1e-12
     assert_gradient_matches(state_objective(records), t, h=1e-7)
+
+
+def test_fit_evaluates_objective_once_per_optimizer_call():
+    # history[0] comes from the optimizer's own evaluation at t0
+    objective = state_objective(state_records(6))
+    calls = []
+
+    def counting_core(*args):
+        calls.append(1)
+        return objective.core(*args)
+
+    counted = replace(objective, core=counting_core)
+    t0 = _params_of_rho(np.eye(4) / 4.0)
+    res, history = _maximize(counted, t0, TomographyOptions(), 1e-10, maxcor=20)
+    assert len(calls) == res.nfev
+    assert history[0] == objective.loglik(objective.fun(t0)[0])
+    assert len(history) == res.nit + 1
 
 
 def test_unknown_tp_mode_rejected():

@@ -1,0 +1,250 @@
+"""Batched Monte-Carlo fits: the batched objectives row by row, failed rows,
+and agreement with the one-resample-at-a-time scipy fits they replace."""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from entconv.config import default_config
+from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
+from entconv.counts import (expected_counts, poisson_resamples, read_counts_csv,
+                            simulate_counts, simulate_process_counts)
+from entconv.pipeline import (_mc_seed, process_metrics_with_errors, run_simulate,
+                              state_metrics_with_errors)
+from entconv.states import bell_state, fidelity, purity, tangle, werner_state
+from entconv.tomography import (TomographyOptions, _batch_table, _process_problem,
+                                _state_problem, check_chi_matrix, identity_chi,
+                                mle_process, mle_process_batch, mle_state, mle_state_batch,
+                                monte_carlo_errors, process_fidelity, process_objective,
+                                process_purity, state_objective, subtract_accidentals,
+                                tomography_settings)
+
+SETTINGS = tomography_settings("state2q")
+SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
+DET = DetectionModel()
+REL_TOL = 1e-6
+
+
+def state_records(seed=1):
+    return simulate_counts(werner_state(0.9), SETTINGS, SRC, DET, 10.0, seed=seed)
+
+
+def process_records(seed=2):
+    channel = lambda r: convert_qubit(r, ConversionParams(eta_v=0.8, theta=0.3, dephase=0.9))
+    return simulate_process_counts(channel, SETTINGS, 200.0, 10.0, seed=seed)
+
+
+def resamples(records, n, seed):
+    return poisson_resamples([r.coincidences for r in records], n, seed)
+
+
+def with_counts(records, row):
+    return [replace(r, coincidences=float(c)) for r, c in zip(records, row)]
+
+
+def batch_objective(kind, records, counts, option):
+    durations, raw = _batch_table(records, counts)
+    if kind == "state":
+        return _state_problem(durations, raw, option)[0]
+    return _process_problem(durations, raw, option)[0]
+
+
+def clipped_state_params(rng):
+    """A near-pure state whose (V, V) probability sits below the 1e-12 clip."""
+    t = rng.normal(size=16)
+    t[[3, 4 + 2, 4 + 4, 4 + 5, 10 + 2, 10 + 4, 10 + 5]] = 1e-8  # T_33, T_03, T_13, T_23
+    return t
+
+
+CASES = [("state", False), ("state", True), ("process", "constrain"),
+         ("process", "normalize")]
+
+
+@pytest.mark.parametrize("kind, option", CASES)
+def test_batched_gradient_matches_central_differences_row_by_row(kind, option):
+    rng = np.random.default_rng(41)
+    if kind == "state":
+        records = expected_counts(werner_state(0.9), SETTINGS, SRC, DET, 10.0)
+    else:
+        records = process_records()
+    counts = resamples(records, 4, seed=3)
+    objective = batch_objective(kind, records, counts, option)
+    n_par = 17 if option is True else 16
+    t = rng.normal(size=(4, n_par))
+    h = np.full(4, 1e-6)
+    if kind == "state":
+        t[1, :16] = clipped_state_params(rng)
+        h[1] = 1e-7
+        assert counts[1, SETTINGS.index(("V", "V"))] > 0
+    rows = np.arange(4)
+    _, grad = objective.rows(t, rows)
+    fd = np.empty_like(t)
+    for i in range(n_par):
+        e = np.zeros_like(t)
+        e[:, i] = h
+        fd[:, i] = (objective.rows(t + e, rows)[0] - objective.rows(t - e, rows)[0]) / (2 * h)
+    for b in rows:
+        assert np.linalg.norm(grad[b] - fd[b]) <= REL_TOL * np.linalg.norm(fd[b])
+
+
+@pytest.mark.parametrize("kind, option", CASES)
+def test_perturbing_one_row_moves_only_that_row(kind, option):
+    records = state_records() if kind == "state" else process_records()
+    objective = batch_objective(kind, records, resamples(records, 5, seed=4), option)
+    t = np.random.default_rng(42).normal(size=(5, 17 if option is True else 16))
+    rows = np.arange(5)
+    nll, grad = objective.rows(t, rows)
+    moved = t.copy()
+    moved[2] += 0.3
+    nll2, grad2 = objective.rows(moved, rows)
+    others = rows != 2
+    assert np.array_equal(nll2[others], nll[others])
+    assert np.array_equal(grad2[others], grad[others])
+    assert nll2[2] != nll[2]
+
+
+@pytest.mark.parametrize("kind, option", CASES)
+def test_batched_rows_equal_scalar_objectives(kind, option):
+    records = state_records() if kind == "state" else process_records()
+    counts = resamples(records, 3, seed=5)
+    objective = batch_objective(kind, records, counts, option)
+    t = np.random.default_rng(43).normal(size=(3, 17 if option is True else 16))
+    nll, grad = objective.rows(t, np.arange(3))
+    for b in range(3):
+        recs = with_counts(records, counts[b])
+        scalar = (state_objective(recs, option) if kind == "state"
+                  else process_objective(recs, option))
+        value, g = scalar.fun(t[b])
+        assert value == pytest.approx(nll[b], rel=1e-13)
+        np.testing.assert_allclose(g, grad[b], rtol=1e-10, atol=1e-12 * np.abs(g).max())
+
+
+def test_single_row_batch_is_the_scalar_objective():
+    records = state_records()
+    t = np.random.default_rng(44).normal(size=16)
+    objective = state_objective(records)
+    batched = batch_objective("state", records, [[r.coincidences for r in records]], False)
+    value, grad = objective.fun(t)
+    nll, g = batched.rows(t[None], np.array([0]))
+    assert value == nll[0] and np.array_equal(grad, g[0])
+
+
+def test_state_rows_without_counts_fail_alone():
+    records = state_records()
+    counts = resamples(records, 6, seed=6)
+    good = mle_state_batch(records, counts)
+    counts_bad = counts.copy()
+    counts_bad[3] = 0.0
+    fit = mle_state_batch(records, counts_bad)
+    assert fit.failed.tolist() == [False, False, False, True, False, False]
+    assert np.all(np.isnan(fit.estimates[3]))
+    keep = ~fit.failed
+    np.testing.assert_allclose(fit.estimates[keep], good.estimates[keep], atol=1e-12)
+    assert fit.converged[keep].all() and not fit.converged[3]
+
+
+def test_empty_basis_group_row_uses_mixed_start_like_mle_state():
+    # no counts in the (H, H) group: linear inversion is impossible, the fit
+    # itself is not
+    records = state_records()
+    counts = resamples(records, 4, seed=7)
+    group = [SETTINGS.index(s) for s in (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))]
+    counts[1, group] = 0.0
+    fit = mle_state_batch(records, counts)
+    assert not fit.failed.any() and fit.converged.all()
+    for b in range(4):
+        seq = mle_state(with_counts(records, counts[b]))
+        assert np.max(np.abs(fit.estimates[b] - seq.estimate)) < 1e-6
+
+
+def test_process_row_with_dark_input_fails_alone():
+    records = process_records()
+    counts = resamples(records, 5, seed=8)
+    good = mle_process_batch(records, counts)
+    counts[2, [i for i, (a, _) in enumerate(SETTINGS) if a == "D"]] = 0.0
+    counts[4] = 0.0
+    fit = mle_process_batch(records, counts)
+    assert fit.failed.tolist() == [False, False, True, False, True]
+    keep = ~fit.failed
+    np.testing.assert_allclose(fit.estimates[keep], good.estimates[keep], atol=1e-12)
+    for chi in fit.estimates[keep]:
+        check_chi_matrix(chi, require_tp=True)
+
+
+def test_batched_histories_are_monotone_and_end_at_the_fit():
+    records = state_records()
+    fit = mle_state_batch(records, resamples(records, 8, seed=9))
+    steps = np.diff(fit.history, axis=0)
+    assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(fit.history[:-1])))
+    assert np.array_equal(fit.history[-1], fit.log_likelihood)
+
+
+def test_iteration_limit_marks_rows_unconverged():
+    records = state_records()
+    opts = TomographyOptions(max_iters=2)
+    mc = monte_carlo_errors(records, lambda n: mle_state_batch(records, n, opts),
+                            {"purity": purity}, n_samples=6, seed=10)
+    assert mc.n_failed == 0 and mc.n_unconverged == 6
+
+
+@pytest.fixture(scope="module")
+def default_stage_tables(tmp_path_factory):
+    config = default_config()
+    paths = run_simulate(config, tmp_path_factory.mktemp("stages"))
+    return config, {name: read_counts_csv(paths[name])
+                    for name in ("state_input", "state_output", "process")}
+
+
+#: the report's five Monte-Carlo stages: (table, accidental subtraction, seed index)
+STAGES = {"input_raw": ("state_input", False, 3), "input_corrected": ("state_input", True, 4),
+          "output_raw": ("state_output", False, 5),
+          "output_corrected": ("state_output", True, 6), "process": ("process", False, 1)}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_default_report_stages_converge_every_resample(default_stage_tables, stage):
+    config, tables = default_stage_tables
+    table, subtract, index = STAGES[stage]
+    seed = _mc_seed(config, index)
+    if table == "process":
+        _, mc = process_metrics_with_errors(tables[table], config.tomography,
+                                            config.mc_samples, seed)
+    else:
+        _, mc = state_metrics_with_errors(tables[table], config.tomography, subtract,
+                                          config.mc_samples, seed)
+    assert (mc.n_samples, mc.n_failed, mc.n_unconverged) == (100, 0, 0)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_batched_stage_agrees_with_sequential_fits(default_stage_tables, stage):
+    """Every resample refitted one at a time by scipy (the fits the batch
+    replaced) against the batch: error bars within 2% and the batch's
+    likelihood at least the scipy fit's, up to 1e-6 of the scaled objective,
+    on all but one resample in a hundred."""
+    config, tables = default_stage_tables
+    table, subtract, index = STAGES[stage]
+    records, opts = tables[table], config.tomography
+    counts = poisson_resamples([r.coincidences for r in records], config.mc_samples,
+                               _mc_seed(config, index))
+    if table == "process":
+        fit = mle_process_batch(records, counts, opts)
+        seq = [mle_process(with_counts(records, row), opts) for row in counts]
+        ideal = identity_chi()
+        metrics = {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity}
+        raw = counts
+    else:
+        accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
+        fit = mle_state_batch(records, counts - accidentals, opts)
+        prepare = subtract_accidentals if subtract else list
+        seq = [mle_state(prepare(with_counts(records, row)), opts) for row in counts]
+        target = bell_state("phi+")
+        metrics = {"fidelity": lambda m: fidelity(m, target), "purity": purity,
+                   "tangle": tangle}
+        raw = np.maximum(counts - accidentals, 0.0)
+    scale = raw.mean(axis=1)
+    worse = (np.array([r.log_likelihood for r in seq]) - fit.log_likelihood) / scale
+    assert np.count_nonzero(worse > 1e-6) <= 1
+    for fn in metrics.values():
+        err_batch = np.std([fn(e) for e in fit.estimates], ddof=1)
+        err_seq = np.std([fn(r.estimate) for r in seq], ddof=1)
+        assert abs(err_batch / err_seq - 1.0) <= 0.02

@@ -10,7 +10,8 @@ from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
 from entconv.tomography import (ReconstructionError, chi_to_transfer,
                                 TomographyOptions, channel_chi, check_chi_matrix,
                                 identity_chi, linear_inversion_state, mle_process,
-                                mle_state, monte_carlo_errors, process_fidelity,
+                                mle_state, mle_state_batch, monte_carlo_errors,
+                                process_fidelity,
                                 process_purity, subtract_accidentals,
                                 tomography_settings, tp_violation)
 
@@ -314,13 +315,13 @@ class TestProcessMetrics:
 
 class TestMonteCarloErrors:
     @staticmethod
-    def _fid(records):
-        return mle_state(records).estimate
+    def _fits(records):
+        return lambda counts: mle_state_batch(records, counts)
 
     def test_huge_counts_give_tiny_errors(self):
         rho = werner_state(0.9)
         recs = noiseless_records(rho, rate=1e7, duration=1.0)
-        mc = monte_carlo_errors(recs, self._fid,
+        mc = monte_carlo_errors(recs, self._fits(recs),
                                 {"fidelity": lambda m: fidelity(m, bell_state("phi+"))},
                                 n_samples=2, seed=0)
         assert mc.std_errors["fidelity"] < 1e-3
@@ -331,31 +332,29 @@ class TestMonteCarloErrors:
         low = noiseless_records(rho, rate=20.0, duration=10.0)
         high = noiseless_records(rho, rate=80.0, duration=10.0)
         metric = {"fidelity": lambda m: fidelity(m, bell_state("phi+"))}
-        mc_low = monte_carlo_errors(low, self._fid, metric, n_samples=60, seed=1)
-        mc_high = monte_carlo_errors(high, self._fid, metric, n_samples=60, seed=2)
+        mc_low = monte_carlo_errors(low, self._fits(low), metric, n_samples=60, seed=1)
+        mc_high = monte_carlo_errors(high, self._fits(high), metric, n_samples=60, seed=2)
         ratio = mc_low.std_errors["fidelity"] / mc_high.std_errors["fidelity"]
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
 
     def test_failure_fraction_enforced(self):
-        recs = noiseless_records(werner_state(0.9), rate=100.0, duration=1.0)
-
-        def broken(records):
-            raise ReconstructionError("nope")
-
+        # about 1e-3 expected counts per table: nearly every resample is all
+        # zeros, which no fit can normalize
+        recs = noiseless_records(werner_state(0.9), rate=1e-3, duration=1.0)
         with pytest.raises(ReconstructionError, match="resamples failed"):
-            monte_carlo_errors(recs, broken, {"one": lambda m: 1.0},
+            monte_carlo_errors(recs, self._fits(recs), {"one": lambda m: 1.0},
                                n_samples=10, seed=3)
 
     def test_minimum_samples(self):
         recs = noiseless_records(werner_state(0.9))
         with pytest.raises(ValueError):
-            monte_carlo_errors(recs, self._fid, {}, n_samples=1, seed=0)
+            monte_carlo_errors(recs, self._fits(recs), {}, n_samples=1, seed=0)
 
     def test_deterministic(self):
         recs = noiseless_records(werner_state(0.9), rate=50.0, duration=10.0)
         metric = {"purity": lambda m: float(np.real(np.trace(m @ m)))}
-        a = monte_carlo_errors(recs, self._fid, metric, n_samples=8, seed=5)
-        b = monte_carlo_errors(recs, self._fid, metric, n_samples=8, seed=5)
+        a = monte_carlo_errors(recs, self._fits(recs), metric, n_samples=8, seed=5)
+        b = monte_carlo_errors(recs, self._fits(recs), metric, n_samples=8, seed=5)
         assert a == b
 
     def test_fidelity_error_magnitude_at_reference_counts(self):
@@ -368,9 +367,10 @@ class TestMonteCarloErrors:
         rho_out, _ = convert(source_state(config.source), config.conversion)
         recs = simulate_counts(rho_out, SETTINGS, config.source,
                                config.detection["output"], 100.0, seed=41)
+        accidentals = np.array([r.accidental_estimate for r in recs])
         mc = monte_carlo_errors(
             recs,
-            lambda r: mle_state(subtract_accidentals(r)).estimate,
+            lambda counts: mle_state_batch(recs, counts - accidentals),
             {"fidelity": lambda m: fidelity(m, bell_state("phi+"))},
             n_samples=40, seed=42)
         assert 0.002 / 3 <= mc.std_errors["fidelity"] <= 0.002 * 3
