@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,32 +111,67 @@ def joint_projector(setting_a: str, setting_b: str) -> np.ndarray:
     return np.kron(setting_projector(setting_a), setting_projector(setting_b))
 
 
+def _projector_stack(settings: list[str]) -> np.ndarray:
+    """2x2 projector of each setting; each distinct setting is built once."""
+    table = {s: setting_projector(s) for s in dict.fromkeys(settings)}
+    return np.array([table[s] for s in settings])
+
+
+def _probabilities(settings, rho: np.ndarray | None = None, channel=None):
+    """Both settings of every record as strings, and its detection probability.
+
+    One batched trace gives Tr[(P_a (x) P_b) rho], clipped onto [0, 1], for
+    pair records, or Tr[P_meas E(P_in)], clipped at 0, for process records,
+    with ``channel`` applied once per distinct input setting. Each value is
+    computed with a single record's arithmetic.
+    """
+    if not settings:
+        raise ValueError("settings must be nonempty")
+    first, second = [str(a) for a, _ in settings], [str(b) for _, b in settings]
+    if channel is None:
+        pa, pb = _projector_stack(first), _projector_stack(second)
+        ops = (pa[:, :, None, :, None] * pb[:, None, :, None, :]).reshape(-1, 4, 4)
+        states = rho
+    else:
+        outputs = {s: channel(setting_projector(s)) for s in dict.fromkeys(first)}
+        ops, states = _projector_stack(second), np.array([outputs[s] for s in first])
+    p = np.real(np.trace(ops @ states, axis1=-2, axis2=-1))
+    return first, second, np.clip(p, 0.0, 1.0) if channel is None else np.maximum(p, 0.0)
+
+
+def _pair_rates(rho, settings, source: SourceModel, det: DetectionModel):
+    """Settings and signal coincidence rate (cps) of every setting pair."""
+    first, second, p = _probabilities(settings, rho=rho)
+    return first, second, \
+        source.pair_rate * det.conversion_eff * det.det_eff_810 * det.det_eff_532 * p
+
+
+def _poisson_rows(means: np.ndarray, seed: int, repetition: int) -> list[list[int]]:
+    """Poisson draws of each row i of ``means``, in column order, from its own
+    stream substream(seed, i, repetition)."""
+    return [substream(seed, i, repetition).poisson(row).tolist()
+            for i, row in enumerate(means)]
+
+
 def coincidence_rate(rho: np.ndarray, setting_a: str, setting_b: str,
                      source: SourceModel, det: DetectionModel) -> float:
     """Expected signal coincidence rate (cps) for one setting pair."""
-    p = float(np.real(np.trace(joint_projector(setting_a, setting_b) @ rho)))
-    p = min(max(p, 0.0), 1.0)
-    return source.pair_rate * det.conversion_eff * det.det_eff_810 * det.det_eff_532 * p
+    _, _, rate = _pair_rates(rho, [(setting_a, setting_b)], source, det)
+    return float(rate[0])
 
 
 def expected_counts(rho: np.ndarray, settings: list[tuple[str, str]],
                     source: SourceModel, det: DetectionModel,
                     duration: float) -> list[CountRecord]:
     """Noise-free records: every count field is set to its expectation."""
-    if not settings:
-        raise ValueError("settings must be nonempty")
     if duration <= 0.0:
         raise ValueError("duration must be > 0")
+    first, second, rate = _pair_rates(rho, settings, source, det)
     acc = det.accidental_rate * duration
-    out = []
-    for a, b in settings:
-        a, b = str(a), str(b)
-        mean = coincidence_rate(rho, a, b, source, det) * duration + acc
-        out.append(CountRecord(a, b, duration, mean,
-                               int(round(det.singles_rate_a * duration)),
-                               int(round(det.singles_rate_b * duration)),
-                               accidental_estimate=acc))
-    return out
+    singles = (int(round(det.singles_rate_a * duration)),
+               int(round(det.singles_rate_b * duration)))
+    return [CountRecord(a, b, duration, mean, *singles, accidental_estimate=acc)
+            for a, b, mean in zip(first, second, (rate * duration + acc).tolist())]
 
 
 def simulate_counts(rho: np.ndarray, settings: list[tuple[str, str]],
@@ -148,24 +183,17 @@ def simulate_counts(rho: np.ndarray, settings: list[tuple[str, str]],
     the singles totals include the coincident events so that
     coincidences <= min(singles_a, singles_b) always holds.
     """
-    if not settings:
-        raise ValueError("settings must be nonempty")
     if duration <= 0.0:
         raise ValueError("duration must be > 0")
-    acc_rate = det.accidental_rate
-    records = []
-    for i, (a, b) in enumerate(settings):
-        a, b = str(a), str(b)
-        rng = substream(seed, i, repetition)
-        mean_c = (coincidence_rate(rho, a, b, source, det) + acc_rate) * duration
-        n_c = int(rng.poisson(mean_c))
-        extra_a = det.singles_rate_a * duration - mean_c
-        extra_b = det.singles_rate_b * duration - mean_c
-        s_a = n_c + int(rng.poisson(max(extra_a, 0.0)))
-        s_b = n_c + int(rng.poisson(max(extra_b, 0.0)))
-        records.append(CountRecord(a, b, duration, n_c, s_a, s_b,
-                                   accidental_estimate=acc_rate * duration))
-    return records
+    first, second, rate = _pair_rates(rho, settings, source, det)
+    mean_c = (rate + det.accidental_rate) * duration
+    means = np.stack([mean_c, np.maximum(det.singles_rate_a * duration - mean_c, 0.0),
+                      np.maximum(det.singles_rate_b * duration - mean_c, 0.0)], axis=1)
+    acc = det.accidental_rate * duration
+    return [CountRecord(a, b, duration, n_c, n_c + extra_a, n_c + extra_b,
+                        accidental_estimate=acc)
+            for a, b, (n_c, extra_a, extra_b)
+            in zip(first, second, _poisson_rows(means, seed, repetition))]
 
 
 def process_rate(channel, setting_in: str, setting_meas: str, rate: float) -> float:
@@ -174,23 +202,18 @@ def process_rate(channel, setting_in: str, setting_meas: str, rate: float) -> fl
     ``channel`` maps a 2x2 matrix to a 2x2 matrix and may be trace
     non-increasing; the lost trace simply lowers the count rate.
     """
-    rho_in = setting_projector(setting_in)
-    p = float(np.real(np.trace(setting_projector(setting_meas) @ channel(rho_in))))
-    return rate * max(p, 0.0)
+    _, _, p = _probabilities([(setting_in, setting_meas)], channel=channel)
+    return float(rate * p[0])
 
 
 def expected_process_counts(channel, settings: list[tuple[str, str]], rate: float,
                             duration: float, accidental_rate: float = 0.0) -> list[CountRecord]:
     """Noise-free process-tomography records (input label, measurement label)."""
-    if not settings:
-        raise ValueError("settings must be nonempty")
-    out = []
-    for k, m in settings:
-        mean = process_rate(channel, str(k), str(m), rate) * duration + accidental_rate * duration
-        out.append(CountRecord(str(k), str(m), duration, mean,
-                               int(round(mean)), int(round(mean)),
-                               accidental_estimate=accidental_rate * duration))
-    return out
+    first, second, p = _probabilities(settings, channel=channel)
+    acc = accidental_rate * duration
+    return [CountRecord(k, m, duration, mean, int(round(mean)), int(round(mean)),
+                        accidental_estimate=acc)
+            for k, m, mean in zip(first, second, (rate * p * duration + acc).tolist())]
 
 
 def simulate_process_counts(channel, settings: list[tuple[str, str]], rate: float,
@@ -200,16 +223,11 @@ def simulate_process_counts(channel, settings: list[tuple[str, str]], rate: floa
 
     Single-arm detection: the singles fields mirror the coincidence counts.
     """
-    if not settings:
-        raise ValueError("settings must be nonempty")
-    records = []
-    for i, (k, m) in enumerate(settings):
-        rng = substream(seed, i, repetition)
-        mean = (process_rate(channel, str(k), str(m), rate) + accidental_rate) * duration
-        n = int(rng.poisson(mean))
-        records.append(CountRecord(str(k), str(m), duration, n, n, n,
-                                   accidental_estimate=accidental_rate * duration))
-    return records
+    first, second, p = _probabilities(settings, channel=channel)
+    draws = _poisson_rows(((rate * p + accidental_rate) * duration)[:, None], seed, repetition)
+    acc = accidental_rate * duration
+    return [CountRecord(k, m, duration, n, n, n, accidental_estimate=acc)
+            for k, m, (n,) in zip(first, second, draws)]
 
 
 def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
@@ -218,10 +236,9 @@ def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         for r in records:
-            row = asdict(r)
-            w.writerow([row["setting_a"], row["setting_b"], repr(row["duration"]),
-                        repr(float(row["coincidences"])), row["singles_a"],
-                        row["singles_b"], repr(row["accidental_estimate"])])
+            w.writerow([r.setting_a, r.setting_b, repr(r.duration),
+                        repr(float(r.coincidences)), r.singles_a, r.singles_b,
+                        repr(r.accidental_estimate)])
 
 
 def read_counts_csv(path: str | Path) -> list[CountRecord]:

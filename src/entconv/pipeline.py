@@ -47,55 +47,38 @@ def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path
     outdir.mkdir(parents=True, exist_ok=True)
     rho_src = source_state(config.source)
     rho_conv, _ = convert(rho_src, config.conversion)
-    settings36 = tomography_settings("state2q")
-
-    def pair_stage(rho, det, duration, stage):
+    acq, det = config.acquisition, config.detection
+    chsh_settings = [(repr(a), repr(b)) for a, b in config.chsh.measurement_angles()]
+    pair_stages = {
+        "state_input": (rho_src, tomography_settings("state2q"), det["input"], acq.input_duration),
+        "state_output": (rho_conv, tomography_settings("state2q"), det["output"],
+                         acq.output_duration),
+        "chsh": (werner_state(config.chsh_source_p), chsh_settings, det["chsh"],
+                 acq.chsh_duration),
+    }
+    tables = {}
+    for stage, (rho, settings, stage_det, duration) in pair_stages.items():
         if config.noiseless:
-            return expected_counts(rho, settings36, config.source, det, duration)
-        return simulate_counts(rho, settings36, config.source, det, duration,
-                               stage_seed(config.seed, stage))
-
-    paths = {}
-    paths["state_input"] = outdir / COUNT_FILES["state_input"]
-    write_counts_csv(paths["state_input"],
-                     pair_stage(rho_src, config.detection["input"],
-                                config.acquisition.input_duration, "state_input"))
-
-    paths["state_output"] = outdir / COUNT_FILES["state_output"]
-    write_counts_csv(paths["state_output"],
-                     pair_stage(rho_conv, config.detection["output"],
-                                config.acquisition.output_duration, "state_output"))
+            tables[stage] = expected_counts(rho, settings, config.source, stage_det, duration)
+        else:
+            tables[stage] = simulate_counts(rho, settings, config.source, stage_det, duration,
+                                            stage_seed(config.seed, stage))
 
     channel = config.process.channel
+    process = (lambda r: convert_qubit(r, channel), tomography_settings("process1q"),
+               config.process.rate, acq.process_duration)
     if config.noiseless:
-        records = expected_process_counts(lambda r: convert_qubit(r, channel),
-                                          tomography_settings("process1q"),
-                                          config.process.rate,
-                                          config.acquisition.process_duration,
-                                          accidental_rate=config.process.accidental_rate)
+        tables["process"] = expected_process_counts(
+            *process, accidental_rate=config.process.accidental_rate)
     else:
-        records = simulate_process_counts(lambda r: convert_qubit(r, channel),
-                                          tomography_settings("process1q"),
-                                          config.process.rate,
-                                          config.acquisition.process_duration,
-                                          stage_seed(config.seed, "process"),
-                                          accidental_rate=config.process.accidental_rate)
-    paths["process"] = outdir / COUNT_FILES["process"]
-    write_counts_csv(paths["process"], records)
+        tables["process"] = simulate_process_counts(
+            *process, stage_seed(config.seed, "process"),
+            accidental_rate=config.process.accidental_rate)
 
-    rho_bell = werner_state(config.chsh_source_p)
-    chsh_settings = [(repr(a), repr(b)) for a, b in config.chsh.measurement_angles()]
-    if config.noiseless:
-        records = expected_counts(rho_bell, chsh_settings, config.source,
-                                  config.detection["chsh"],
-                                  config.acquisition.chsh_duration)
-    else:
-        records = simulate_counts(rho_bell, chsh_settings, config.source,
-                                  config.detection["chsh"],
-                                  config.acquisition.chsh_duration,
-                                  stage_seed(config.seed, "chsh"))
-    paths["chsh"] = outdir / COUNT_FILES["chsh"]
-    write_counts_csv(paths["chsh"], records)
+    paths = {}
+    for stage in COUNT_FILES:
+        paths[stage] = outdir / COUNT_FILES[stage]
+        write_counts_csv(paths[stage], tables[stage])
     return paths
 
 

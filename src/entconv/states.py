@@ -119,20 +119,20 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
     return rho
 
 
-def _clamp01(x: float, tol: float = 1e-10) -> float:
-    """Clamp numerical noise just outside [0, 1] back onto the interval."""
-    if -tol <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + tol:
-        return 1.0
-    return x
+def _clamp01(x, tol: float = 1e-10):
+    """Clamp numerical noise just outside [0, 1] back onto the interval.
+
+    One value comes back as a float; an array is clamped elementwise.
+    """
+    x = np.where((-tol <= x) & (x < 0.0), 0.0, np.where((1.0 < x) & (x <= 1.0 + tol), 1.0, x))
+    return float(x) if x.ndim == 0 else x
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition."""
+    """Matrix square root of a Hermitian PSD matrix (or a stack) via eigendecomposition."""
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
@@ -140,44 +140,46 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 
     For a pure target ket this is <psi|rho|psi>. For a density-matrix target
     it is the squared Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
-    which reduces to the pure-state expression for rank-1 targets.
+    which reduces to the pure-state expression for rank-1 targets. A stack of
+    states (leading axis) gives an array with one fidelity per state.
     """
     rho = np.asarray(rho, dtype=complex)
     target = np.asarray(target, dtype=complex)
     if target.ndim == 1:
-        if target.size != rho.shape[0]:
+        if target.size != rho.shape[-1]:
             raise ValueError("state and target dimensions differ")
-        return _clamp01(float(np.real(target.conj() @ rho @ target)))
-    if target.shape != rho.shape:
+        return _clamp01(np.real(target.conj() @ rho @ target))
+    if target.shape != rho.shape[-2:]:
         raise ValueError("state and target dimensions differ")
     sr = _sqrtm_psd(rho)
     inner = _sqrtm_psd(sr @ target @ sr)
-    return _clamp01(float(np.real(np.trace(inner))) ** 2)
+    return _clamp01(np.real(np.trace(inner, axis1=-2, axis2=-1)) ** 2)
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2), between 1/d (maximally mixed) and 1 (pure)."""
+    """Tr(rho^2), between 1/d (maximally mixed) and 1 (pure); per state for a stack."""
     rho = np.asarray(rho, dtype=complex)
-    return _clamp01(float(np.real(np.trace(rho @ rho))))
+    return _clamp01(np.real(np.trace(rho @ rho, axis1=-2, axis2=-1)))
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+    """Wootters concurrence of a two-qubit density matrix; per state for a stack.
 
     Computed from the singular values of sqrt(rho) (Y x Y) conj(sqrt(rho)),
     whose squares are the eigenvalues of rho (YxY) rho* (YxY); the singular
     value route avoids the sqrt-of-noise blowup for rank-deficient states.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("concurrence is defined for two-qubit states")
     sr = _sqrtm_psd(rho)
     lam = np.linalg.svd(sr @ _YY @ sr.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return float(max(0.0, c)) if c.ndim == 0 else np.maximum(c, 0.0)
 
 
 def tangle(rho: np.ndarray) -> float:
-    """Squared Wootters concurrence."""
+    """Squared Wootters concurrence; per state for a stack."""
     return _clamp01(concurrence(rho) ** 2)
 
 

@@ -718,16 +718,19 @@ def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
 
 
 def process_fidelity(chi: np.ndarray, ideal: np.ndarray) -> float:
-    """Overlap Tr(chi chi_ideal) for a rank-1, trace-normalized ideal."""
-    f = float(np.real(np.trace(np.asarray(chi) @ np.asarray(ideal))))
-    return min(max(f, 0.0), 1.0)
+    """Overlap Tr(chi chi_ideal) for a rank-1, trace-normalized ideal; per chi for a stack."""
+    return _clip01(np.real(np.trace(np.asarray(chi) @ np.asarray(ideal), axis1=-2, axis2=-1)))
 
 
 def process_purity(chi: np.ndarray) -> float:
-    """Tr(chi^2) of a trace-normalized process matrix."""
+    """Tr(chi^2) of a trace-normalized process matrix; per chi for a stack."""
     chi = np.asarray(chi)
-    p = float(np.real(np.trace(chi @ chi)))
-    return min(max(p, 0.0), 1.0)
+    return _clip01(np.real(np.trace(chi @ chi, axis1=-2, axis2=-1)))
+
+
+def _clip01(x):
+    """x clipped onto [0, 1]: a float for one value, an array for a stack."""
+    return min(max(float(x), 0.0), 1.0) if np.ndim(x) == 0 else np.clip(x, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +764,8 @@ def monte_carlo_errors(records: list[CountRecord],
     ``reconstructor`` fits all resamples at once: it takes the
     (n_samples, len(records)) counts, in the order of ``records``, and
     returns a ``BatchFit`` (see ``mle_state_batch``, ``mle_process_batch``).
-    The metric set is evaluated on every estimate. Failed resamples are
+    Each metric is called once with the (n_kept, d, d) stack of kept
+    estimates and returns one value per estimate. Failed resamples are
     tolerated up to 10% of the samples; beyond that the run aborts.
     """
     counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)
@@ -771,7 +775,7 @@ def monte_carlo_errors(records: list[CountRecord],
         raise ReconstructionError(
             f"{n_failed}/{n_samples} Monte-Carlo resamples failed to reconstruct")
     kept = fit.estimates[~fit.failed]
-    values = {name: [float(fn(e)) for e in kept] for name, fn in metrics.items()}
+    values = {name: np.asarray(fn(kept), dtype=float) for name, fn in metrics.items()}
     means = {name: float(np.mean(v)) for name, v in values.items()}
     stds = {name: float(np.std(v, ddof=1)) for name, v in values.items()}
     return MonteCarloErrors(means=means, std_errors=stds, n_samples=n_samples,

@@ -1,6 +1,15 @@
 """Unit tests for the conversion channel and the efficiency model."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import integrate, optimize
+
+import entconv
+from entconv import conversion
 
 from entconv.conversion import (BudgetInputs, ConversionError, ConversionParams,
                                 DetectionModel, EfficiencyParams, SourceModel,
@@ -211,6 +220,24 @@ def oracle_focusing_factor(xi, n_tau=20001, sigmas=np.linspace(-0.5, 3.0, 1401))
     return best
 
 
+def quad_focusing_factor(xi):
+    """The adaptive-quadrature route the Gauss-Legendre rule replaced:
+    scipy.integrate.quad on each sigma of the same grid, then the same
+    bounded refinement."""
+    def overlap(sigma):
+        val, _ = integrate.quad(
+            lambda t: (np.cos(sigma * t) + t * np.sin(sigma * t)) / (1.0 + t * t),
+            0.0, xi, limit=200)
+        return (2.0 * val) ** 2 / (4.0 * xi)
+
+    grid = np.linspace(-1.0, 8.0, 181)
+    i = int(np.argmax([overlap(s) for s in grid]))
+    res = optimize.minimize_scalar(lambda s: -overlap(s),
+                                   bounds=(grid[max(0, i - 1)], grid[min(180, i + 1)]),
+                                   method="bounded", options={"xatol": 1e-10})
+    return -res.fun
+
+
 class TestFocusingFactor:
     def test_weak_focus_limit(self):
         assert focusing_factor(0.001) == pytest.approx(0.001, rel=0.01)
@@ -228,6 +255,29 @@ class TestFocusingFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             focusing_factor(0.0)
+
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, xi):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            focusing_factor(xi)
+
+    @pytest.mark.parametrize("xi", [0.001, 0.25, 0.8, 2.84, 5.0, 20.0, 50.0])
+    def test_matches_adaptive_quadrature(self, xi):
+        assert focusing_factor(xi) == pytest.approx(quad_focusing_factor(xi), rel=1e-12)
+
+    def test_starved_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(conversion, "_GL_RULE", np.polynomial.legendre.leggauss(2))
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            focusing_factor(0.8)
+
+    def test_package_import_leaves_scipy_integrate_unloaded(self):
+        src = str(Path(entconv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, entconv; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestEfficiencyBudget:

@@ -1,14 +1,21 @@
 """Unit tests for count simulation and CSV I/O."""
+import csv
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
-from entconv.counts import (CountDataError, CountRecord, coincidence_rate, expected_counts,
-                            expected_process_counts, joint_projector, parse_setting,
-                            poisson_resamples, read_counts_csv, setting_projector, simulate_counts,
-                            simulate_process_counts, stage_seed, substream,
-                            write_counts_csv)
-from entconv.states import bell_state, ket2dm, projector
+from entconv.config import default_config
+from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, convert,
+                                convert_qubit, source_state)
+from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, coincidence_rate,
+                            expected_counts, expected_process_counts, joint_projector,
+                            parse_setting, poisson_resamples, process_rate, read_counts_csv,
+                            setting_projector, simulate_counts, simulate_process_counts,
+                            stage_seed, substream, write_counts_csv)
+from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
+from entconv.tomography import tomography_settings
 
 PHI_P = ket2dm(bell_state("phi+"))
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=15.0)
@@ -199,3 +206,212 @@ class TestStreams:
     def test_stage_seed_rejects_unknown(self):
         with pytest.raises(ValueError):
             stage_seed(1, "warmup")
+
+
+# ---------------------------------------------------------------------------
+# The per-record generators and the asdict-based writer that the batched core
+# replaced, kept as references: the core must reproduce them field for field
+# and byte for byte.
+
+def legacy_coincidence_rate(rho, setting_a, setting_b, source, det):
+    p = float(np.real(np.trace(joint_projector(setting_a, setting_b) @ rho)))
+    p = min(max(p, 0.0), 1.0)
+    return source.pair_rate * det.conversion_eff * det.det_eff_810 * det.det_eff_532 * p
+
+
+def legacy_expected_counts(rho, settings, source, det, duration):
+    acc = det.accidental_rate * duration
+    out = []
+    for a, b in settings:
+        a, b = str(a), str(b)
+        mean = legacy_coincidence_rate(rho, a, b, source, det) * duration + acc
+        out.append(CountRecord(a, b, duration, mean,
+                               int(round(det.singles_rate_a * duration)),
+                               int(round(det.singles_rate_b * duration)),
+                               accidental_estimate=acc))
+    return out
+
+
+def legacy_simulate_counts(rho, settings, source, det, duration, seed, repetition=0):
+    acc_rate = det.accidental_rate
+    records = []
+    for i, (a, b) in enumerate(settings):
+        a, b = str(a), str(b)
+        rng = substream(seed, i, repetition)
+        mean_c = (legacy_coincidence_rate(rho, a, b, source, det) + acc_rate) * duration
+        n_c = int(rng.poisson(mean_c))
+        extra_a = det.singles_rate_a * duration - mean_c
+        extra_b = det.singles_rate_b * duration - mean_c
+        s_a = n_c + int(rng.poisson(max(extra_a, 0.0)))
+        s_b = n_c + int(rng.poisson(max(extra_b, 0.0)))
+        records.append(CountRecord(a, b, duration, n_c, s_a, s_b,
+                                   accidental_estimate=acc_rate * duration))
+    return records
+
+
+def legacy_process_rate(channel, setting_in, setting_meas, rate):
+    rho_in = setting_projector(setting_in)
+    p = float(np.real(np.trace(setting_projector(setting_meas) @ channel(rho_in))))
+    return rate * max(p, 0.0)
+
+
+def legacy_expected_process_counts(channel, settings, rate, duration, accidental_rate=0.0):
+    out = []
+    for k, m in settings:
+        mean = legacy_process_rate(channel, str(k), str(m), rate) * duration + \
+            accidental_rate * duration
+        out.append(CountRecord(str(k), str(m), duration, mean,
+                               int(round(mean)), int(round(mean)),
+                               accidental_estimate=accidental_rate * duration))
+    return out
+
+
+def legacy_simulate_process_counts(channel, settings, rate, duration, seed, repetition=0,
+                                   accidental_rate=0.0):
+    records = []
+    for i, (k, m) in enumerate(settings):
+        rng = substream(seed, i, repetition)
+        mean = (legacy_process_rate(channel, str(k), str(m), rate) + accidental_rate) * duration
+        n = int(rng.poisson(mean))
+        records.append(CountRecord(str(k), str(m), duration, n, n, n,
+                                   accidental_estimate=accidental_rate * duration))
+    return records
+
+
+def legacy_write_counts_csv(path, records):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_HEADER)
+        for r in records:
+            row = asdict(r)
+            w.writerow([row["setting_a"], row["setting_b"], repr(row["duration"]),
+                        repr(float(row["coincidences"])), row["singles_a"],
+                        row["singles_b"], repr(row["accidental_estimate"])])
+
+
+def field_reprs(records):
+    """Type and repr of every field of every record, so 0.0 and -0.0 or 3 and
+    3.0 count as different."""
+    return [[(type(v), repr(v)) for v in (getattr(r, f.name) for f in fields(r))]
+            for r in records]
+
+
+LABEL_SETTINGS = tomography_settings("state2q")
+CHSH_SETTINGS = [(repr(a), repr(b))
+                 for a, b in default_config().chsh.measurement_angles()]
+CHANNELS = [ConversionParams(),
+            ConversionParams(eta_h=0.9, eta_v=0.6, theta=0.3, dephase=0.97),
+            ConversionParams(eta_h=1.0, eta_v=0.2, theta=2.5, dephase=0.5),
+            ConversionParams(eta_h=0.0, eta_v=0.7, theta=-1.0, dephase=0.0)]
+
+
+def pair_stages(config):
+    """(rho, settings, detection, duration) of the three pair stages of run_simulate."""
+    rho_src = source_state(config.source)
+    rho_conv, _ = convert(rho_src, config.conversion)
+    acq = config.acquisition
+    return [(rho_src, LABEL_SETTINGS, config.detection["input"], acq.input_duration),
+            (rho_conv, LABEL_SETTINGS, config.detection["output"], acq.output_duration),
+            (werner_state(config.chsh_source_p), CHSH_SETTINGS, config.detection["chsh"],
+             acq.chsh_duration)]
+
+
+class TestBatchedGeneratorMatchesPerRecordLoops:
+    @pytest.mark.parametrize("seed", [103, 1, 2, 77, 2024])
+    def test_default_config_pair_stages(self, seed):
+        config = default_config()
+        for rho, settings_, det, duration in pair_stages(config):
+            assert field_reprs(simulate_counts(rho, settings_, config.source, det, duration,
+                                               seed)) == \
+                field_reprs(legacy_simulate_counts(rho, settings_, config.source, det,
+                                                   duration, seed))
+            assert field_reprs(expected_counts(rho, settings_, config.source, det,
+                                               duration)) == \
+                field_reprs(legacy_expected_counts(rho, settings_, config.source, det, duration))
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("accidental_rate", [0.0, 500.0])
+    def test_process_channels(self, channel, accidental_rate):
+        fn = lambda r: convert_qubit(r, channel)
+        for seed in (103, 5, 6):
+            args = (fn, LABEL_SETTINGS, 1000.0, 10.0, seed)
+            assert field_reprs(simulate_process_counts(
+                *args, accidental_rate=accidental_rate)) == \
+                field_reprs(legacy_simulate_process_counts(
+                    *args, accidental_rate=accidental_rate))
+        assert field_reprs(expected_process_counts(
+            fn, LABEL_SETTINGS, 1000.0, 10.0, accidental_rate=accidental_rate)) == \
+            field_reprs(legacy_expected_process_counts(
+                fn, LABEL_SETTINGS, 1000.0, 10.0, accidental_rate=accidental_rate))
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_converted_states_with_accidentals(self, channel):
+        """The conversion channel on the pair source, with singles high enough
+        for a nonzero accidental rate, label and CHSH-angle settings, and a
+        repetition other than 0."""
+        config = default_config()
+        try:
+            rho, _ = convert(source_state(config.source), channel)
+        except ValueError:
+            rho = werner_state(0.7)
+        det = DetectionModel(det_eff_810=0.4, det_eff_532=0.3, conversion_eff=0.5,
+                             coinc_window=1e-6, singles_rate_a=9e3, singles_rate_b=4e3)
+        for settings_ in (LABEL_SETTINGS, CHSH_SETTINGS, [("H", 22.5), (-10.0, "R")]):
+            for repetition in (0, 3):
+                assert field_reprs(simulate_counts(rho, settings_, config.source, det, 20.0,
+                                                   9, repetition)) == \
+                    field_reprs(legacy_simulate_counts(rho, settings_, config.source, det,
+                                                       20.0, 9, repetition))
+            assert field_reprs(expected_counts(rho, settings_, config.source, det, 20.0)) == \
+                field_reprs(legacy_expected_counts(rho, settings_, config.source, det, 20.0))
+
+    def test_single_setting_rates(self):
+        config = default_config()
+        det = config.detection["output"]
+        fn = lambda r: convert_qubit(r, CHANNELS[1])
+        for rho, settings_, _, _ in pair_stages(config):
+            for a, b in settings_:
+                assert repr(coincidence_rate(rho, a, b, config.source, det)) == \
+                    repr(legacy_coincidence_rate(rho, a, b, config.source, det))
+        for k, m in LABEL_SETTINGS:
+            assert repr(process_rate(fn, k, m, 1000.0)) == \
+                repr(legacy_process_rate(fn, k, m, 1000.0))
+
+    def test_csv_bytes_equal_asdict_writer(self, tmp_path):
+        config = default_config()
+        tables = [simulate_counts(rho, s, config.source, det, duration, 4)
+                  for rho, s, det, duration in pair_stages(config)]
+        tables += [expected_counts(rho, s, config.source, det, duration)
+                   for rho, s, det, duration in pair_stages(config)]
+        tables.append(expected_process_counts(lambda r: convert_qubit(r, CHANNELS[2]),
+                                              LABEL_SETTINGS, 1000.0, 10.0, 500.0))
+        tables.append([CountRecord("H", "V", 1, 3, 5, 5),
+                       CountRecord("22.5", "-0.0", 0.5, -0.0, 0, 10 ** 30, 1e-300)])
+        for i, records in enumerate(tables):
+            write_counts_csv(tmp_path / f"new{i}.csv", records)
+            legacy_write_counts_csv(tmp_path / f"old{i}.csv", records)
+            assert (tmp_path / f"new{i}.csv").read_bytes() == \
+                (tmp_path / f"old{i}.csv").read_bytes()
+
+
+finite_nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+angle_setting = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+setting = st.one_of(st.sampled_from(PROJECTOR_LABELS), angle_setting)
+count_records = st.builds(
+    CountRecord,
+    setting_a=setting, setting_b=setting,
+    duration=st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                       allow_infinity=False),
+    coincidences=finite_nonneg,
+    singles_a=st.integers(min_value=0, max_value=10 ** 40),
+    singles_b=st.integers(min_value=0, max_value=10 ** 40),
+    accidental_estimate=finite_nonneg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(count_records, min_size=1, max_size=8))
+def test_csv_round_trip_property(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("roundtrip") / "counts.csv"
+    write_counts_csv(path, records)
+    back = read_counts_csv(path)
+    assert field_reprs(back) == field_reprs(records)

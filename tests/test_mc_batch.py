@@ -11,7 +11,8 @@ from entconv.counts import (expected_counts, poisson_resamples, read_counts_csv,
                             simulate_counts, simulate_process_counts)
 from entconv.pipeline import (_mc_seed, process_metrics_with_errors, run_simulate,
                               state_metrics_with_errors)
-from entconv.states import bell_state, fidelity, purity, tangle, werner_state
+from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
+                            werner_state)
 from entconv.tomography import (TomographyOptions, _batch_table, _process_problem,
                                 _state_problem, check_chi_matrix, identity_chi,
                                 mle_process, mle_process_batch, mle_state, mle_state_batch,
@@ -248,3 +249,59 @@ def test_batched_stage_agrees_with_sequential_fits(default_stage_tables, stage):
         err_batch = np.std([fn(e) for e in fit.estimates], ddof=1)
         err_seq = np.std([fn(r.estimate) for r in seq], ddof=1)
         assert abs(err_batch / err_seq - 1.0) <= 0.02
+
+
+def random_stack(rng, n, rank):
+    a = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+    m = a @ np.swapaxes(a.conj(), -1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("name", ["fidelity_pure", "fidelity_mixed", "purity", "concurrence",
+                                  "tangle", "process_fidelity", "process_purity"])
+def test_metrics_on_a_stack_equal_the_per_estimate_loop(name):
+    rng = np.random.default_rng(8)
+    stack = np.concatenate([random_stack(rng, 40, rank) for rank in (1, 2, 4)])
+    target = random_stack(rng, 1, 4)[0]
+    fn = {"fidelity_pure": lambda m: fidelity(m, bell_state("phi+")),
+          "fidelity_mixed": lambda m: fidelity(m, target), "purity": purity,
+          "concurrence": concurrence, "tangle": tangle,
+          "process_fidelity": lambda m: process_fidelity(m, identity_chi()),
+          "process_purity": process_purity}[name]
+    batched = fn(stack)
+    assert batched.shape == (len(stack),)
+    loop = np.array([fn(m) for m in stack])
+    assert all(type(fn(m)) is float for m in stack[:3])
+    np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=1e-15)
+
+
+#: every *_err of the five default report stages on seed 103, computed one
+#: estimate at a time before the metrics took the stack of estimates
+PER_ESTIMATE_ERRORS = {
+    "input_raw": {"fidelity": 0.0005205762096086602, "purity": 0.001049441921048636,
+                  "tangle": 0.0020522607237668223},
+    "input_corrected": {"fidelity": 0.0005485128540786452, "purity": 0.0011846966205962392,
+                        "tangle": 0.0021572785569664854},
+    "output_raw": {"fidelity": 0.00442447345457797, "purity": 0.008384529783310292,
+                   "tangle": 0.016486208920242763},
+    "output_corrected": {"fidelity": 0.004787146654633937, "purity": 0.00933951150218574,
+                         "tangle": 0.01907841893915736},
+    "process": {"fidelity": 3.076409572559703e-05, "purity": 6.291720524275069e-05},
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_error_bars_equal_per_estimate_values(default_stage_tables, stage):
+    config, tables = default_stage_tables
+    assert config.seed == 103
+    table, subtract, index = STAGES[stage]
+    seed = _mc_seed(config, index)
+    if table == "process":
+        _, mc = process_metrics_with_errors(tables[table], config.tomography,
+                                            config.mc_samples, seed)
+    else:
+        _, mc = state_metrics_with_errors(tables[table], config.tomography, subtract,
+                                          config.mc_samples, seed)
+    assert mc.std_errors.keys() == PER_ESTIMATE_ERRORS[stage].keys()
+    for name, ref in PER_ESTIMATE_ERRORS[stage].items():
+        assert mc.std_errors[name] == pytest.approx(ref, rel=1e-12)

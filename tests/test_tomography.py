@@ -352,7 +352,7 @@ class TestMonteCarloErrors:
 
     def test_deterministic(self):
         recs = noiseless_records(werner_state(0.9), rate=50.0, duration=10.0)
-        metric = {"purity": lambda m: float(np.real(np.trace(m @ m)))}
+        metric = {"purity": lambda m: np.real(np.trace(m @ m, axis1=-2, axis2=-1))}
         a = monte_carlo_errors(recs, self._fits(recs), metric, n_samples=8, seed=5)
         b = monte_carlo_errors(recs, self._fits(recs), metric, n_samples=8, seed=5)
         assert a == b
