@@ -13,7 +13,6 @@ from .config import ConfigError, default_config, load_config, save_config
 from .counts import CountDataError
 from .pipeline import (COUNT_FILES, run_chsh, run_efficiency, run_reconstruct_process,
                        run_reconstruct_state, run_report, run_simulate)
-from .tomography import ReconstructionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,16 +110,13 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "write-config":
             save_config(config, args.path)
             print(f"config written to {args.path}")
-    except ReconstructionError as exc:
+    except RuntimeError as exc:  # ReconstructionError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except CountDataError as exc:
+    except CountDataError as exc:  # before ValueError, its base
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

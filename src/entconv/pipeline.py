@@ -50,8 +50,8 @@ def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path
     acq, det = config.acquisition, config.detection
     chsh_settings = [(repr(a), repr(b)) for a, b in config.chsh.measurement_angles()]
     pair_stages = {
-        "state_input": (rho_src, tomography_settings("state2q"), det["input"], acq.input_duration),
-        "state_output": (rho_conv, tomography_settings("state2q"), det["output"],
+        "state_input": (rho_src, tomography_settings(), det["input"], acq.input_duration),
+        "state_output": (rho_conv, tomography_settings(), det["output"],
                          acq.output_duration),
         "chsh": (werner_state(config.chsh_source_p), chsh_settings, det["chsh"],
                  acq.chsh_duration),
@@ -65,7 +65,7 @@ def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path
                                             stage_seed(config.seed, stage))
 
     channel = config.process.channel
-    process = (lambda r: convert_qubit(r, channel), tomography_settings("process1q"),
+    process = (lambda r: convert_qubit(r, channel), tomography_settings(),
                config.process.rate, acq.process_duration)
     if config.noiseless:
         tables["process"] = expected_process_counts(
@@ -88,14 +88,11 @@ def state_metrics_with_errors(records: list[CountRecord], options: TomographyOpt
     """MLE reconstruction plus Monte-Carlo std-errors on F, P and T."""
     prepared = subtract_accidentals(records) if subtract else records
     result = mle_state(prepared, options)
-    target = options.fidelity_target if options.fidelity_target is not None \
-        else bell_state("phi+")
-
     accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
     mc = monte_carlo_errors(records,
                             lambda counts: mle_state_batch(records, counts - accidentals,
                                                            options),
-                            {"fidelity": lambda m: fidelity(m, target),
+                            {"fidelity": lambda m: fidelity(m, bell_state("phi+")),
                              "purity": purity, "tangle": tangle},
                             mc_samples, seed)
     result.metrics = MetricReport(
@@ -110,11 +107,9 @@ def process_metrics_with_errors(records: list[CountRecord], options: TomographyO
                                 seed: int) -> tuple[TomographyResult, MonteCarloErrors]:
     """Process reconstruction plus Monte-Carlo std-errors on F and P."""
     result = mle_process(records, options)
-    ideal = options.process_ideal if options.process_ideal is not None else identity_chi()
-
     mc = monte_carlo_errors(records,
                             lambda counts: mle_process_batch(records, counts, options),
-                            {"fidelity": lambda m: process_fidelity(m, ideal),
+                            {"fidelity": lambda m: process_fidelity(m, identity_chi()),
                              "purity": process_purity},
                             mc_samples, seed)
     result.metrics = MetricReport(

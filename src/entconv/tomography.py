@@ -14,10 +14,13 @@ retraction by the chain rule, with the derivative of G^{-1/2} taken from its
 eigendecomposition (Daleckii-Krein divided differences).
 
 Both objectives take a leading batch axis: one row per count table, rows
-independent. A single fit is the one-row case, maximized by scipy's
-L-BFGS-B. Monte-Carlo error bars fit all resamples of a stage at once with
-``lbfgs.minimize_rows``, the same iteration vectorised over rows; the scipy
-fit is the reference it is tested against.
+independent. Each fit kind has one fit, ``mle_state_batch`` or
+``mle_process_batch``; a point fit (``mle_state``, ``mle_process``) is its
+one-table case. The row minimizer is chosen by table count, each being the
+faster on its side: one table is fitted by scipy's L-BFGS-B, several (the
+Monte-Carlo resamples of a stage) at once by ``lbfgs.minimize_rows``, the
+same iteration vectorised over rows; the scipy fit is the reference it is
+tested against.
 
 Records are always fitted in canonical setting order, so the projector
 stacks and the linear-inversion design matrix are built once, at import.
@@ -58,19 +61,14 @@ _STATE_LBFGS = (1e-10, 20)
 _PROCESS_LBFGS = (1e-8, 10)
 
 
-def tomography_settings(kind: str) -> list[tuple[str, str]]:
-    """All 36 ordered pairs of the six analysis labels.
-
-    "state2q" pairs two measurement labels; "process1q" pairs an input-state
-    label with a measurement label. Both enumerate the same 6x6 grid.
-    """
-    if kind not in ("state2q", "process1q"):
-        raise ValueError(f"unknown settings kind {kind!r}")
+def tomography_settings() -> list[tuple[str, str]]:
+    """All 36 ordered pairs of the six analysis labels: two measurement labels
+    of a state, or an input-state label and a measurement label of a process."""
     return list(product(PROJECTOR_LABELS, PROJECTOR_LABELS))
 
 
 #: Canonical setting order; every fit sees its records in this order.
-_SETTINGS = tomography_settings("state2q")
+_SETTINGS = tomography_settings()
 
 #: Basis-pair group (0..8) of each canonical setting.
 _GROUP = np.array([3 * _BASIS_OF[a] + _BASIS_OF[b] for a, b in _SETTINGS])
@@ -167,8 +165,6 @@ class TomographyOptions:
     fit_normalization: bool = False  # fit the total flux as an extra parameter
     tp_mode: str = "constrain"       # "constrain" (exact TP) or "normalize"
     start: str = "inversion"         # "inversion" warm start or "mixed" cold start
-    fidelity_target: np.ndarray | None = None  # defaults to |phi+>
-    process_ideal: np.ndarray | None = None    # defaults to the identity chi
 
     def __post_init__(self):
         if self.tp_mode not in ("constrain", "normalize"):
@@ -195,7 +191,8 @@ class TomographyResult:
 @dataclass
 class BatchFit:
     """Fits of B count tables that share their settings and durations, row b
-    for table b. ``failed`` rows (nothing to normalize) hold NaN; a fit that
+    for table b. ``failed`` rows hold NaN and ``errors`` maps each to its
+    reason (nothing to normalize, or a falling likelihood); a fit that
     stopped on ``max_iters`` or a failed line search is not ``converged``.
     ``history`` is the raw-count log-likelihood per batch iteration."""
 
@@ -203,6 +200,7 @@ class BatchFit:
     log_likelihood: np.ndarray
     converged: np.ndarray
     failed: np.ndarray
+    errors: dict[int, str]
     history: np.ndarray = field(repr=False)
 
 
@@ -210,14 +208,6 @@ def _drops(history: np.ndarray) -> np.ndarray:
     """Where a log-likelihood history (iterations along axis 0) decreases."""
     prev, cur = history[:-1], history[1:]
     return cur < prev - 1e-9 * np.maximum(1.0, np.abs(prev))
-
-
-def _check_monotone(history: list[float]) -> None:
-    drops = np.flatnonzero(_drops(np.array(history)))
-    if drops.size:
-        i = drops[0]
-        raise ReconstructionError(
-            f"log-likelihood decreased from {history[i]!r} to {history[i + 1]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +321,8 @@ class Objective:
 
     ``core(t, counts, norms)`` returns the value and analytic gradient of
     every row of ``t`` (shape (k, n_params)) against the same rows of counts
-    and norms; rows never interact. ``rows(t, idx)`` evaluates fits ``idx``;
-    ``fun(t)`` is fit 0 as the scalar function scipy minimizes. Counts are
+    and norms; rows never interact. ``rows(t, idx)`` evaluates fits ``idx``
+    (an index array, or a slice, which takes no copy). Counts are
     divided by their per-fit mean ``scale`` so that the landscape (hence the
     estimate) is invariant under a global rescaling of all counts;
     ``loglik`` maps a value back to the log-likelihood of the raw counts.
@@ -344,12 +334,8 @@ class Objective:
     scale: np.ndarray
     raw_total: np.ndarray
 
-    def rows(self, t: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, t: np.ndarray, idx: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         return self.core(t, self.counts[idx], self.norms[idx])
-
-    def fun(self, t: np.ndarray) -> tuple[float, np.ndarray]:
-        nll, grad = self.core(t[None], self.counts[:1], self.norms[:1])
-        return nll[0], grad[0]
 
     def pgtol(self, gtol: float) -> np.ndarray:
         """Per-fit gradient tolerance: gtol * max(1, sum of unit counts)."""
@@ -370,72 +356,98 @@ def _unit_counts(raw: np.ndarray):
 
 
 def _state_problem(durations: np.ndarray, raw: np.ndarray,
-                   fit_normalization: bool) -> tuple[Objective, np.ndarray]:
-    """``state_objective`` of (B, 36) canonical raw counts, and its rows
-    without counts. The flux N is the mean summed rate of the nine basis-pair
-    groups, whose four joint projectors sum to the identity."""
+                   fit_normalization: bool) -> tuple[Objective, dict[int, str]]:
+    """The objective ``mle_state_batch`` minimizes for (B, 36) canonical raw
+    counts, and why each row without counts cannot be fitted. The flux N is
+    the mean summed rate of the nine basis-pair groups, whose four joint
+    projectors sum to the identity."""
     counts, scale, total, empty = _unit_counts(raw)
     flux = np.mean(_group_sums(raw / durations), axis=1)
     norms = flux[:, None] * durations / scale[:, None]
     core = partial(_state_nll, fit_normalization=fit_normalization)
-    return Objective(core, counts, norms, scale, total), empty
+    errors = {b: "all counts are zero" for b in np.flatnonzero(empty).tolist()}
+    return Objective(core, counts, norms, scale, total), errors
 
 
-def _process_problem(durations: np.ndarray, raw: np.ndarray, tp_mode: str):
-    """``process_objective`` of (B, 36) canonical raw counts, its rows
-    without counts and, per row, the input states without counts."""
+def _process_problem(durations: np.ndarray, raw: np.ndarray,
+                     tp_mode: str) -> tuple[Objective, dict[int, str]]:
+    """The objective ``mle_process_batch`` minimizes for (B, 36) canonical raw
+    counts, and why each row without counts, or with an input state without
+    counts, cannot be fitted."""
     counts, scale, total, empty = _unit_counts(raw)
     flux = (raw / durations).reshape(-1, 6, 6).sum(axis=2) / 3.0
     norms = np.repeat(flux, 6, axis=1) * durations / scale[:, None]
     core = partial(_process_nll, retract=tp_mode == "constrain")
-    return Objective(core, counts, norms, scale, total), empty, flux <= 0.0
+    dark = flux <= 0.0
+    errors = {b: "all counts are zero" if empty[b] else
+              f"input state {PROJECTOR_LABELS[np.argmax(dark[b])]!r} has zero counts"
+              for b in np.flatnonzero(dark.any(axis=1)).tolist()}
+    return Objective(core, counts, norms, scale, total), errors
 
 
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
 
-def _maximize(objective: Objective, t0: np.ndarray, opts: TomographyOptions,
-              gtol: float, maxcor: int) -> tuple[optimize.OptimizeResult, list[float]]:
-    """L-BFGS-B on fit 0 of ``objective``; history holds the raw log-likelihood
-    per iterate."""
+def _minimize_one(fun, x0, fit, pgtol, rel_tol, max_iters, maxcor):
+    """``minimize_rows`` of a one-row batch by scipy's L-BFGS-B, which is the
+    faster on a single fit; the history holds the objective per iterate."""
+    if not fit[0]:
+        return x0, np.zeros(1, dtype=bool), np.zeros((1, 1))
     history = []
+    row = slice(0, 1)  # a view: no copy of the counts per evaluation
 
-    def fun(t):
-        value, grad = objective.fun(t)
-        if not history:  # L-BFGS-B evaluates t0 first
-            history.append(objective.loglik(value))
-        return value, grad
+    def value_and_grad(x):
+        value, grad = fun(x[None], row)
+        if not history:  # L-BFGS-B evaluates x0 first
+            history.append(value[0])
+        return value[0], grad[0]
 
     # SciPy >= 1.11 passes the OptimizeResult at x_k to a callback whose
     # parameter is named intermediate_result; its ``fun`` is the value the
     # optimizer already computed there.
     def record_step(intermediate_result):
-        history.append(objective.loglik(intermediate_result.fun))
+        history.append(intermediate_result.fun)
 
     res = optimize.minimize(
-        fun, t0, jac=True, method="L-BFGS-B", callback=record_step,
-        options={"maxiter": opts.max_iters, "ftol": opts.rel_tol,
-                 "gtol": objective.pgtol(gtol)[0], "maxcor": maxcor})
-    _check_monotone(history)
-    return res, history
+        value_and_grad, x0[0], jac=True, method="L-BFGS-B", callback=record_step,
+        options={"maxiter": max_iters, "ftol": rel_tol, "gtol": pgtol[0], "maxcor": maxcor})
+    return res.x[None], np.array([res.success]), np.array(history)[:, None]
 
 
-def _fit_batch(objective: Objective, t0: np.ndarray, failed: np.ndarray,
+def _fit_batch(objective: Objective, t0: np.ndarray, errors: dict[int, str],
                opts: TomographyOptions, lbfgs: tuple[float, int],
                estimate: Callable[[np.ndarray], np.ndarray]) -> BatchFit:
-    """Minimize every fit of ``objective`` not marked failed with the stopping
-    rules of ``_maximize``; a fit whose likelihood history falls fails too."""
+    """Minimize every fit of ``objective`` without an entry in ``errors``; a
+    fit whose likelihood history falls fails too. One table is fitted by
+    ``_minimize_one``, several at once by ``lbfgs.minimize_rows``."""
     gtol, maxcor = lbfgs
-    x, converged, history = minimize_rows(objective.rows, t0, ~failed, objective.pgtol(gtol),
-                                          opts.rel_tol, opts.max_iters, maxcor)
+    failed = np.isin(np.arange(len(t0)), list(errors))
+    minimize = _minimize_one if len(t0) == 1 else minimize_rows
+    x, converged, history = minimize(objective.rows, t0, ~failed, objective.pgtol(gtol),
+                                     opts.rel_tol, opts.max_iters, maxcor)
     loglik = objective.loglik(history, slice(None))
-    failed = failed | np.any(_drops(loglik), axis=0)
+    drops = _drops(loglik)
+    for b in np.flatnonzero(drops.any(axis=0)).tolist():
+        i = np.argmax(drops[:, b])
+        errors[b] = f"log-likelihood decreased from {loglik[i, b]!r} to {loglik[i + 1, b]!r}"
+    failed |= drops.any(axis=0)
     estimates = estimate(x)
     estimates[failed] = np.nan
     loglik[:, failed] = np.nan
-    return BatchFit(estimates=estimates, log_likelihood=loglik[-1],
-                    converged=converged & ~failed, failed=failed, history=loglik)
+    return BatchFit(estimates=estimates, log_likelihood=loglik[-1], converged=converged & ~failed,
+                    failed=failed, errors=errors, history=loglik)
+
+
+def _point_fit(fit: BatchFit, kind: str,
+               metrics: Callable[[np.ndarray], MetricReport]) -> TomographyResult:
+    """Row 0 of a one-table ``fit``; raises ``ReconstructionError`` if it failed."""
+    if fit.failed[0]:
+        raise ReconstructionError(fit.errors[0])
+    estimate, history = fit.estimates[0], list(fit.history[:, 0])
+    return TomographyResult(estimate=estimate, log_likelihood=history[-1],
+                            iterations=len(history) - 1, converged=bool(fit.converged[0]),
+                            metrics=metrics(estimate), kind=kind, history=history)
 
 
 def _batch_table(records: list[CountRecord], counts) -> tuple[np.ndarray, np.ndarray]:
@@ -485,8 +497,8 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
 
     Probabilities are normalized per basis-pair group, then the 36 linear
     equations Tr[(P_a x P_b) rho] = p are solved over the 16-dimensional
-    Hermitian operator basis. Used as an independent cross-check on (and a
-    starting point for) the likelihood fit.
+    Hermitian operator basis. Used as an independent cross-check on the
+    likelihood fit, which starts from the same inversion.
     """
     order = _canonical_order(records)
     rates = np.array([[records[i].coincidences / records[i].duration for i in order]])
@@ -497,62 +509,35 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
     return rho[0]
 
 
-def state_objective(records: list[CountRecord],
-                    fit_normalization: bool = False) -> Objective:
-    """The objective ``mle_state`` minimizes, over 16 (or 17) parameters.
-
-    Expected counts are mu_s = N * duration_s * Tr[(P_a x P_b) rho(t)]; the
-    flux N is estimated from the complete basis groups, or scaled by
-    exp(t[16]) when ``fit_normalization`` is set.
-    """
-    durations, raw = _batch_table(records, [[r.coincidences for r in records]])
-    objective, empty = _state_problem(durations, raw, fit_normalization)
-    if empty[0]:
-        raise ReconstructionError("all counts are zero")
-    return objective
-
-
 def mle_state(records: list[CountRecord],
               options: TomographyOptions | None = None) -> TomographyResult:
-    """Maximum-likelihood two-qubit state reconstruction.
+    """Maximum-likelihood two-qubit state reconstruction: ``mle_state_batch``
+    of the records' own coincidences, with the fidelity to |phi+>.
 
-    Maximizes the likelihood of ``state_objective``. Non-convergence is
-    reported through the ``converged`` flag, never silently.
+    Non-convergence is reported through the ``converged`` flag, never
+    silently; a table that cannot be fitted raises ``ReconstructionError``.
     """
-    opts = options or TomographyOptions()
-    objective = state_objective(records, opts.fit_normalization)
-    if opts.start == "mixed":
-        t0 = _params_of_rho(np.eye(4) / 4.0)
-    else:
-        try:
-            t0 = _params_of_rho(linear_inversion_state(records))
-        except ReconstructionError:
-            t0 = _params_of_rho(np.eye(4) / 4.0)
-    if opts.fit_normalization:
-        t0 = np.append(t0, 0.0)
-    res, history = _maximize(objective, t0, opts, *_STATE_LBFGS)
-    rho_hat = _rho_of_params(res.x[:16])
-    target = opts.fidelity_target if opts.fidelity_target is not None else bell_state("phi+")
-    metrics = MetricReport(fidelity=fidelity(rho_hat, target), purity=purity(rho_hat),
-                           tangle=tangle(rho_hat))
-    return TomographyResult(estimate=rho_hat, log_likelihood=history[-1],
-                            iterations=int(res.nit), converged=bool(res.success),
-                            metrics=metrics, kind="state", history=history)
+    fit = mle_state_batch(records, [[r.coincidences for r in records]], options)
+    return _point_fit(fit, "state", lambda rho: MetricReport(
+        fidelity=fidelity(rho, bell_state("phi+")), purity=purity(rho), tangle=tangle(rho)))
 
 
 def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
                     options: TomographyOptions | None = None) -> BatchFit:
-    """``mle_state`` of many count tables at once.
+    """Maximum-likelihood two-qubit state reconstruction of B count tables.
 
     ``records`` give the settings and durations; row b of ``counts`` (shape
     (B, 36), in the order of ``records``) replaces their coincidences,
-    clamped at zero. All rows are fitted together by ``lbfgs.minimize_rows``
-    with the objective, warm start and stopping rules of ``mle_state``. A row
-    without counts fails.
+    clamped at zero. Expected counts are mu_s = N * duration_s *
+    Tr[(P_a x P_b) rho(t)] over 16 parameters; the flux N is estimated from
+    the complete basis groups, or scaled by exp(t[16]) when
+    ``fit_normalization`` is set. A fit starts from the linear inversion of
+    its table, or from the mixed state where a basis group has no counts or
+    ``start`` is "mixed". A row without counts fails.
     """
     opts = options or TomographyOptions()
     durations, raw = _batch_table(records, counts)
-    objective, failed = _state_problem(durations, raw, opts.fit_normalization)
+    objective, errors = _state_problem(durations, raw, opts.fit_normalization)
     rho0 = np.tile(np.eye(4, dtype=complex) / 4.0, (len(raw), 1, 1))
     if opts.start == "inversion":
         rho_li, first_empty = _inversion(raw / durations)
@@ -560,7 +545,7 @@ def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
     t0 = _params_of_rho(rho0)
     if opts.fit_normalization:
         t0 = np.column_stack([t0, np.zeros(len(t0))])
-    return _fit_batch(objective, t0, failed, opts, _STATE_LBFGS,
+    return _fit_batch(objective, t0, errors, opts, _STATE_LBFGS,
                       lambda x: _rho_of_params(x[:, :16]))
 
 
@@ -657,64 +642,37 @@ def _chi_of_params(t: np.ndarray, retract: bool) -> np.ndarray:
     return chi
 
 
-def process_objective(records: list[CountRecord], tp_mode: str = "constrain") -> Objective:
-    """The objective ``mle_process`` minimizes over the 16 Choi-factor parameters.
-
-    Records pair an input-state label (setting_a) with a measurement label
-    (setting_b). Expected counts are mu_s = N_k * duration_s * Tr[W_s J(t)]
-    with the per-input flux N_k estimated from the three complete
-    measurement bases. With tp_mode="constrain", J(t) is the retracted Choi
-    matrix and the gradient is pulled back through the retraction.
-    """
-    if tp_mode not in ("constrain", "normalize"):
-        raise ValueError(f"unknown tp_mode {tp_mode!r}")
-    durations, raw = _batch_table(records, [[r.coincidences for r in records]])
-    objective, empty, dark = _process_problem(durations, raw, tp_mode)
-    if empty[0]:
-        raise ReconstructionError("all counts are zero")
-    if dark[0].any():
-        raise ReconstructionError(
-            f"input state {PROJECTOR_LABELS[np.argmax(dark[0])]!r} has zero counts")
-    return objective
-
-
 def mle_process(records: list[CountRecord],
                 options: TomographyOptions | None = None) -> TomographyResult:
-    """Maximum-likelihood single-qubit process reconstruction.
-
-    Maximizes the likelihood of ``process_objective``. With
-    tp_mode="constrain" trace preservation holds exactly through the Choi
-    retraction; "normalize" fits an unconstrained CP map and rescales the chi
-    matrix to unit trace afterwards.
-    """
-    opts = options or TomographyOptions()
-    objective = process_objective(records, opts.tp_mode)
-    res, history = _maximize(objective, _PROCESS_START, opts, *_PROCESS_LBFGS)
-    chi_hat = _chi_of_params(res.x[None], opts.tp_mode == "constrain")[0]
-    ideal = opts.process_ideal if opts.process_ideal is not None else identity_chi()
-    metrics = MetricReport(fidelity=process_fidelity(chi_hat, ideal),
-                           purity=process_purity(chi_hat), tangle=None)
-    return TomographyResult(estimate=chi_hat, log_likelihood=history[-1],
-                            iterations=int(res.nit), converged=bool(res.success),
-                            metrics=metrics, kind="process", history=history)
+    """Maximum-likelihood single-qubit process reconstruction:
+    ``mle_process_batch`` of the records' own coincidences, with the
+    fidelity to the identity channel. Failures as in ``mle_state``."""
+    fit = mle_process_batch(records, [[r.coincidences for r in records]], options)
+    return _point_fit(fit, "process", lambda chi: MetricReport(
+        fidelity=process_fidelity(chi, identity_chi()), purity=process_purity(chi), tangle=None))
 
 
 def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
                       options: TomographyOptions | None = None) -> BatchFit:
-    """``mle_process`` of many count tables at once.
+    """Maximum-likelihood single-qubit process reconstruction of B count tables.
 
-    As ``mle_state_batch``, with the objective, start and stopping rules of
-    ``mle_process``. A row without counts, or with an input state without
-    counts, fails.
+    Records pair an input-state label (setting_a) with a measurement label
+    (setting_b); ``counts`` replace their coincidences as in
+    ``mle_state_batch``. Expected counts are mu_s = N_k * duration_s *
+    Tr[W_s J(t)] over 16 Choi-factor parameters, with the per-input flux N_k
+    estimated from the three complete measurement bases. With
+    tp_mode="constrain", J(t) is the retracted Choi matrix, so trace
+    preservation holds exactly, and the gradient is pulled back through the
+    retraction; "normalize" fits an unconstrained CP map and rescales the chi
+    matrix to unit trace afterwards. A row without counts, or with an input
+    state without counts, fails.
     """
     opts = options or TomographyOptions()
     durations, raw = _batch_table(records, counts)
-    objective, empty, dark = _process_problem(durations, raw, opts.tp_mode)
-    failed = empty | dark.any(axis=1)
-    t0 = np.tile(_PROCESS_START, (len(raw), 1))
+    objective, errors = _process_problem(durations, raw, opts.tp_mode)
     retract = opts.tp_mode == "constrain"
-    return _fit_batch(objective, t0, failed, opts, _PROCESS_LBFGS,
-                      lambda x: _chi_of_params(x, retract))
+    return _fit_batch(objective, np.tile(_PROCESS_START, (len(raw), 1)), errors, opts,
+                      _PROCESS_LBFGS, lambda x: _chi_of_params(x, retract))
 
 
 def process_fidelity(chi: np.ndarray, ideal: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from entconv.tomography import (TomographyOptions, linear_inversion_state, mle_p
                                 identity_chi, subtract_accidentals, tomography_settings)
 
 PHI_P = ket2dm(bell_state("phi+"))
-SETTINGS36 = tomography_settings("state2q")
+SETTINGS36 = tomography_settings()
 TIGHT = TomographyOptions(rel_tol=1e-14)
 
 
@@ -139,7 +139,7 @@ def test_criterion_4_state_metric_reproduction():
 
 def test_criterion_5_process_tomography():
     t0 = time.perf_counter()
-    proc_settings = tomography_settings("process1q")
+    proc_settings = tomography_settings()
     noiseless = expected_process_counts(lambda r: r, proc_settings,
                                         rate=1e5, duration=1.0)
     chi_id = mle_process(noiseless, TIGHT).estimate

@@ -1,10 +1,12 @@
 """CLI and pipeline tests (small Monte-Carlo sizes to stay fast)."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from entconv.cli import main
 from entconv.config import default_config, save_config
-from entconv.counts import read_counts_csv
+from entconv.counts import read_counts_csv, write_counts_csv
 from entconv.pipeline import COUNT_FILES, run_simulate
 from entconv.reports import parse_report
 
@@ -124,6 +126,16 @@ def test_non_convergence_exits_3(tmp_path):
     code = main(["--config", str(path), "--out", str(out),
                  "--mc-samples", "2", "reconstruct-state"])
     assert code == 3
+
+
+def test_reconstruction_error_exits_3(tmp_path, config_path, capsys):
+    out = tmp_path / "out"
+    main(["--config", str(config_path), "--out", str(out), "simulate"])
+    path = out / COUNT_FILES["state_output"]
+    write_counts_csv(path, [replace(r, coincidences=0.0) for r in read_counts_csv(path)])
+    code = main(["--config", str(config_path), "--out", str(out), "reconstruct-state"])
+    assert code == 3
+    assert "all counts are zero" in capsys.readouterr().err
 
 
 def test_noiseless_ideal_config_closed_loop(tmp_path):

@@ -296,7 +296,7 @@ def field_reprs(records):
             for r in records]
 
 
-LABEL_SETTINGS = tomography_settings("state2q")
+LABEL_SETTINGS = tomography_settings()
 CHSH_SETTINGS = [(repr(a), repr(b))
                  for a, b in default_config().chsh.measurement_angles()]
 CHANNELS = [ConversionParams(),

@@ -1,20 +1,23 @@
 """Likelihood objectives: analytic gradients against central finite differences,
-and the raw-count log-likelihood reported by a fit."""
-from dataclasses import replace
-
+the one-table optimizer's evaluations, and the raw-count log-likelihood
+reported by a fit. Objectives are those of point fits: one-row tables."""
 import numpy as np
 import pytest
+from scipy import optimize
 
+from entconv import tomography
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import expected_counts, simulate_counts, simulate_process_counts
 from entconv.states import projector, werner_state
-from entconv.tomography import (TomographyOptions, _maximize, _params_of_rho, mle_state,
-                                process_objective, state_objective, tomography_settings)
+from entconv.tomography import (TomographyOptions, _minimize_one, _params_of_rho, mle_state,
+                                tomography_settings)
+from test_mc_batch import batch_objective
 
-SETTINGS = tomography_settings("state2q")
+SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
 DET = DetectionModel()
 REL_TOL = 1e-6
+ROW = slice(0, 1)
 
 
 def central_difference(fun, t, h):
@@ -26,10 +29,18 @@ def central_difference(fun, t, h):
     return grad
 
 
+def one_table(kind, records, option):
+    return batch_objective(kind, records, [[r.coincidences for r in records]], option)
+
+
 def assert_gradient_matches(objective, t, h=1e-6):
-    value, grad = objective.fun(t)
+    def fun(x):
+        nll, grad = objective.rows(x[None], ROW)
+        return nll[0], grad[0]
+
+    value, grad = fun(t)
     assert np.isfinite(value)
-    fd = central_difference(objective.fun, t, h)
+    fd = central_difference(fun, t, h)
     assert np.linalg.norm(grad - fd) <= REL_TOL * np.linalg.norm(fd)
 
 
@@ -45,7 +56,7 @@ def process_records(seed):
 @pytest.mark.parametrize("fit_normalization", [False, True])
 def test_state_gradient(fit_normalization):
     rng = np.random.default_rng(31)
-    objective = state_objective(state_records(1), fit_normalization)
+    objective = one_table("state", state_records(1), fit_normalization)
     for _ in range(4):
         t = rng.normal(size=17 if fit_normalization else 16)
         if fit_normalization:
@@ -56,7 +67,7 @@ def test_state_gradient(fit_normalization):
 @pytest.mark.parametrize("tp_mode", ["constrain", "normalize"])
 def test_process_gradient(tp_mode):
     rng = np.random.default_rng(32)
-    objective = process_objective(process_records(2), tp_mode)
+    objective = one_table("process", process_records(2), tp_mode)
     for _ in range(4):
         assert_gradient_matches(objective, rng.normal(size=16))
 
@@ -77,29 +88,37 @@ def test_state_gradient_where_probability_is_clipped():
     rho = T.conj().T @ T
     p_vv = float(np.real(rho[3, 3] / np.trace(rho)))
     assert 0.0 < p_vv < 1e-12
-    assert_gradient_matches(state_objective(records), t, h=1e-7)
+    assert_gradient_matches(one_table("state", records, False), t, h=1e-7)
 
 
-def test_fit_evaluates_objective_once_per_optimizer_call():
+def test_fit_evaluates_objective_once_per_optimizer_call(monkeypatch):
     # history[0] comes from the optimizer's own evaluation at t0
-    objective = state_objective(state_records(6))
-    calls = []
+    objective = one_table("state", state_records(6), False)
+    calls, results = [], []
+    scipy_minimize = optimize.minimize
 
-    def counting_core(*args):
+    def counting_rows(t, idx):
         calls.append(1)
-        return objective.core(*args)
+        return objective.rows(t, idx)
 
-    counted = replace(objective, core=counting_core)
-    t0 = _params_of_rho(np.eye(4) / 4.0)
-    res, history = _maximize(counted, t0, TomographyOptions(), 1e-10, maxcor=20)
+    def recording_minimize(*args, **kwargs):
+        results.append(scipy_minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tomography.optimize, "minimize", recording_minimize)
+    t0 = _params_of_rho(np.eye(4) / 4.0)[None]
+    x, converged, history = _minimize_one(counting_rows, t0, np.array([True]),
+                                          objective.pgtol(1e-10), 1e-10, 5000, 20)
+    (res,) = results
+    assert np.array_equal(x[0], res.x) and converged[0] == res.success
     assert len(calls) == res.nfev
-    assert history[0] == objective.loglik(objective.fun(t0)[0])
+    assert history[0, 0] == objective.rows(t0, ROW)[0][0]
     assert len(history) == res.nit + 1
 
 
 def test_unknown_tp_mode_rejected():
     with pytest.raises(ValueError):
-        process_objective(process_records(3), "project")
+        TomographyOptions(tp_mode="project")
 
 
 def test_log_likelihood_is_raw_count_likelihood_of_estimate():

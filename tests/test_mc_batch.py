@@ -16,11 +16,10 @@ from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
 from entconv.tomography import (TomographyOptions, _batch_table, _process_problem,
                                 _state_problem, check_chi_matrix, identity_chi,
                                 mle_process, mle_process_batch, mle_state, mle_state_batch,
-                                monte_carlo_errors, process_fidelity, process_objective,
-                                process_purity, state_objective, subtract_accidentals,
-                                tomography_settings)
+                                monte_carlo_errors, process_fidelity, process_purity,
+                                subtract_accidentals, tomography_settings)
 
-SETTINGS = tomography_settings("state2q")
+SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
 DET = DetectionModel()
 REL_TOL = 1e-6
@@ -44,6 +43,7 @@ def with_counts(records, row):
 
 
 def batch_objective(kind, records, counts, option):
+    """The objective the fits of the (B, 36) ``counts`` minimize."""
     durations, raw = _batch_table(records, counts)
     if kind == "state":
         return _state_problem(durations, raw, option)[0]
@@ -112,22 +112,28 @@ def test_batched_rows_equal_scalar_objectives(kind, option):
     t = np.random.default_rng(43).normal(size=(3, 17 if option is True else 16))
     nll, grad = objective.rows(t, np.arange(3))
     for b in range(3):
-        recs = with_counts(records, counts[b])
-        scalar = (state_objective(recs, option) if kind == "state"
-                  else process_objective(recs, option))
-        value, g = scalar.fun(t[b])
+        # the objective of a point fit of table b alone
+        one = batch_objective(kind, records, counts[b:b + 1], option)
+        (value,), (g,) = one.rows(t[b:b + 1], slice(0, 1))
         assert value == pytest.approx(nll[b], rel=1e-13)
         np.testing.assert_allclose(g, grad[b], rtol=1e-10, atol=1e-12 * np.abs(g).max())
 
 
-def test_single_row_batch_is_the_scalar_objective():
-    records = state_records()
-    t = np.random.default_rng(44).normal(size=16)
-    objective = state_objective(records)
-    batched = batch_objective("state", records, [[r.coincidences for r in records]], False)
-    value, grad = objective.fun(t)
-    nll, g = batched.rows(t[None], np.array([0]))
-    assert value == nll[0] and np.array_equal(grad, g[0])
+def test_one_table_batch_is_the_point_fit():
+    # both run the one-table optimizer; several tables run minimize_rows
+    for kind, option in CASES:
+        if kind == "state":
+            records, opts = state_records(), TomographyOptions(fit_normalization=option)
+            point, batch = mle_state, mle_state_batch
+        else:
+            records, opts = process_records(), TomographyOptions(tp_mode=option)
+            point, batch = mle_process, mle_process_batch
+        result = point(records, opts)
+        fit = batch(records, [[r.coincidences for r in records]], opts)
+        assert np.array_equal(fit.estimates[0], result.estimate)
+        assert np.array_equal(fit.history[:, 0], result.history)
+        assert fit.log_likelihood[0] == result.log_likelihood
+        assert fit.converged[0] == result.converged and not fit.failed[0]
 
 
 def test_state_rows_without_counts_fail_alone():
@@ -138,6 +144,7 @@ def test_state_rows_without_counts_fail_alone():
     counts_bad[3] = 0.0
     fit = mle_state_batch(records, counts_bad)
     assert fit.failed.tolist() == [False, False, False, True, False, False]
+    assert fit.errors == {3: "all counts are zero"}
     assert np.all(np.isnan(fit.estimates[3]))
     keep = ~fit.failed
     np.testing.assert_allclose(fit.estimates[keep], good.estimates[keep], atol=1e-12)
@@ -166,6 +173,7 @@ def test_process_row_with_dark_input_fails_alone():
     counts[4] = 0.0
     fit = mle_process_batch(records, counts)
     assert fit.failed.tolist() == [False, False, True, False, True]
+    assert fit.errors == {2: "input state 'D' has zero counts", 4: "all counts are zero"}
     keep = ~fit.failed
     np.testing.assert_allclose(fit.estimates[keep], good.estimates[keep], atol=1e-12)
     for chi in fit.estimates[keep]:

@@ -15,7 +15,7 @@ from entconv.tomography import (ReconstructionError, chi_to_transfer,
                                 process_purity, subtract_accidentals,
                                 tomography_settings, tp_violation)
 
-SETTINGS = tomography_settings("state2q")
+SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
 DET = DetectionModel()
 TIGHT = TomographyOptions(rel_tol=1e-14)
@@ -40,14 +40,10 @@ class TestSettings:
         assert len(set(SETTINGS)) == 36
 
     def test_process_grid(self):
-        s = tomography_settings("process1q")
+        s = tomography_settings()
         assert len(s) == 36
         assert {a for a, _ in s} == set("HVDARL")
         assert {b for _, b in s} == set("HVDARL")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            tomography_settings("state3q")
 
 
 class TestSubtractAccidentals:
@@ -230,7 +226,7 @@ class TestChannelChi:
 
 class TestMleProcess:
     def test_identity_channel_noiseless(self):
-        recs = expected_process_counts(lambda r: r, tomography_settings("process1q"),
+        recs = expected_process_counts(lambda r: r, tomography_settings(),
                                        rate=1e4, duration=1.0)
         result = mle_process(recs, TIGHT)
         assert result.converged
@@ -239,7 +235,7 @@ class TestMleProcess:
 
     def test_pauli_z_channel(self):
         recs = expected_process_counts(lambda r: PAULIS[3] @ r @ PAULIS[3],
-                                       tomography_settings("process1q"),
+                                       tomography_settings(),
                                        rate=1e4, duration=1.0)
         chi = mle_process(recs, TIGHT).estimate
         assert chi[3, 3].real > 1 - 1e-6
@@ -247,7 +243,7 @@ class TestMleProcess:
     def test_all_pauli_unitaries_recovered(self):
         for i in range(4):
             recs = expected_process_counts(lambda r, s=PAULIS[i]: s @ r @ s,
-                                           tomography_settings("process1q"),
+                                           tomography_settings(),
                                            rate=1e4, duration=1.0)
             chi = mle_process(recs, TIGHT).estimate
             assert chi[i, i].real > 1 - 1e-6
@@ -255,13 +251,13 @@ class TestMleProcess:
     def test_output_is_valid_chi(self):
         params = ConversionParams(theta=0.1, dephase=0.95)
         recs = simulate_process_counts(lambda r: convert_qubit(r, params),
-                                       tomography_settings("process1q"),
+                                       tomography_settings(),
                                        rate=1e4, duration=10.0, seed=31)
         chi = mle_process(recs).estimate
         check_chi_matrix(chi, require_tp=True)
 
     def test_normalize_mode(self):
-        recs = expected_process_counts(lambda r: r, tomography_settings("process1q"),
+        recs = expected_process_counts(lambda r: r, tomography_settings(),
                                        rate=1e4, duration=1.0)
         opts = TomographyOptions(rel_tol=1e-14, tp_mode="normalize")
         chi = mle_process(recs, opts).estimate
@@ -273,7 +269,7 @@ class TestMleProcess:
         # the same TP process as its lossless version
         params = ConversionParams(eta_h=0.02, eta_v=0.02, theta=0.05, dephase=0.98)
         recs = expected_process_counts(lambda r: convert_qubit(r, params),
-                                       tomography_settings("process1q"),
+                                       tomography_settings(),
                                        rate=1e7, duration=1.0)
         chi = mle_process(recs, TIGHT).estimate
         ref = ConversionParams(eta_h=1.0, eta_v=1.0, theta=0.05, dephase=0.98)
@@ -281,7 +277,7 @@ class TestMleProcess:
         assert np.max(np.abs(chi - chi_ref)) < 1e-5
 
     def test_zero_input_flux_rejected(self):
-        recs = expected_process_counts(lambda r: r, tomography_settings("process1q"),
+        recs = expected_process_counts(lambda r: r, tomography_settings(),
                                        rate=1e4, duration=1.0)
         recs = [CountRecord(r.setting_a, r.setting_b, r.duration,
                             0.0 if r.setting_a == "D" else r.coincidences,
