@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, default_config, load_config, save_config
+from .config import default_config, load_config, save_config
 from .counts import CountDataError
 from .pipeline import (COUNT_FILES, run_chsh, run_efficiency, run_reconstruct_process,
                        run_reconstruct_state, run_report, run_simulate)
@@ -63,18 +64,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.mc_samples is not None:
-        config.mc_samples = args.mc_samples
-
-    try:
+        if args.seed is not None:  # replace() reruns the config's checks
+            config = replace(config, seed=args.seed)
+        if args.mc_samples is not None:
+            config = replace(config, mc_samples=args.mc_samples)
         if args.command == "simulate":
             paths = run_simulate(config, args.out)
             for name, path in paths.items():

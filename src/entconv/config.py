@@ -9,8 +9,10 @@ the singles rates and a 3 ns coincidence window.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, reduce
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -65,10 +67,9 @@ class Acquisition:
     chsh_duration: float = 100.0
 
     def __post_init__(self):
-        for name in ("input_duration", "output_duration", "process_duration",
-                     "chsh_duration"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"{f.name} must be > 0")
 
 
 @dataclass
@@ -124,169 +125,178 @@ class ExperimentConfig:
                 raise ConfigError(f"missing detection stage {stage!r}")
         if not 0.0 <= self.chsh_source_p <= 1.0:
             raise ConfigError("chsh source_p must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mc_samples < 2:
-            raise ConfigError("mc_samples must be >= 2")
+            raise ConfigError(f"mc_samples must be >= 2, got {self.mc_samples}")
 
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-def _f(v: float) -> str:
-    return repr(float(v))
+class Key(NamedTuple):
+    """One INI key and the ExperimentConfig field it stores."""
+
+    section: str
+    key: str
+    path: str               # dotted attribute path from ExperimentConfig
+    optional: bool = False  # absent -> the field's dataclass default
+
+
+# The INI layout in file order. Each value is formatted and parsed by the type
+# of its field (float, int, bool or str). The [detection.<stage>] sections,
+# written just before [acquisition], and the werner `p` / custom `state` key
+# of [source] are written and read by hand.
+FIELDS = (
+    Key("run", "seed", "seed"),
+    Key("run", "mc_samples", "mc_samples", optional=True),
+    Key("run", "noiseless", "noiseless", optional=True),
+    Key("source", "kind", "source.kind"),
+    Key("source", "pair_rate_cps", "source.pair_rate"),
+    Key("conversion", "eta_h", "conversion.eta_h"),
+    Key("conversion", "eta_v", "conversion.eta_v"),
+    Key("conversion", "theta_rad", "conversion.theta"),
+    Key("conversion", "dephase", "conversion.dephase"),
+    Key("acquisition", "input_duration_s", "acquisition.input_duration"),
+    Key("acquisition", "output_duration_s", "acquisition.output_duration"),
+    Key("acquisition", "process_duration_s", "acquisition.process_duration"),
+    Key("acquisition", "chsh_duration_s", "acquisition.chsh_duration"),
+    Key("chsh", "alpha_deg", "chsh.alpha"),
+    Key("chsh", "alpha_prime_deg", "chsh.alpha_prime"),
+    Key("chsh", "beta_deg", "chsh.beta"),
+    Key("chsh", "beta_prime_deg", "chsh.beta_prime"),
+    Key("chsh", "source_p", "chsh_source_p"),
+    Key("process", "rate_cps", "process.rate"),
+    Key("process", "theta_rad", "process.channel.theta"),
+    Key("process", "dephase", "process.channel.dephase"),
+    Key("process", "eta_h", "process.channel.eta_h", optional=True),
+    Key("process", "eta_v", "process.channel.eta_v", optional=True),
+    Key("process", "accidental_rate_cps", "process.accidental_rate", optional=True),
+    Key("tomography", "max_iters", "tomography.max_iters"),
+    Key("tomography", "rel_tol", "tomography.rel_tol"),
+    Key("tomography", "fit_normalization", "tomography.fit_normalization", optional=True),
+    Key("tomography", "tp_mode", "tomography.tp_mode", optional=True),
+    Key("tomography", "start", "tomography.start", optional=True),
+    Key("efficiency", "pump_power_w", "efficiency.efficiency.pump_power"),
+    Key("efficiency", "lambda_in_m", "efficiency.efficiency.lambda_1"),
+    Key("efficiency", "lambda_out_m", "efficiency.efficiency.lambda_2"),
+    Key("efficiency", "lambda_pump_m", "efficiency.efficiency.lambda_p"),
+    Key("efficiency", "n_in", "efficiency.efficiency.n_1"),
+    Key("efficiency", "n_out", "efficiency.efficiency.n_2"),
+    Key("efficiency", "d_eff_m_per_v", "efficiency.efficiency.d_eff"),
+    Key("efficiency", "crystal_length_m", "efficiency.efficiency.crystal_length"),
+    Key("efficiency", "h_m", "efficiency.efficiency.h_m"),
+    Key("efficiency", "power_in_w", "efficiency.power_in"),
+    Key("efficiency", "power_out_w", "efficiency.power_out"),
+    Key("efficiency", "cal_lambda_in_m", "efficiency.lambda_in"),
+    Key("efficiency", "cal_lambda_out_m", "efficiency.lambda_out"),
+    Key("efficiency", "optical_loss", "efficiency.optical_loss"),
+    Key("efficiency", "pair_rate_in_cps", "efficiency.pair_rate_in"),
+    Key("efficiency", "pair_rate_converted_cps", "efficiency.pair_rate_converted"),
+    Key("efficiency", "fiber_coupling", "efficiency.fiber_coupling"),
+    Key("efficiency", "per_crystal_pump_factor", "efficiency.per_crystal_pump_factor"),
+    Key("efficiency", "focus_position_factor", "efficiency.focus_position_factor"),
+)
+
+# The keys of every [detection.<stage>] section and their (float) DetectionModel fields.
+DETECTION_KEYS = (
+    ("det_eff_810", "det_eff_810"),
+    ("det_eff_532", "det_eff_532"),
+    ("conversion_eff", "conversion_eff"),
+    ("coinc_window_s", "coinc_window"),
+    ("singles_rate_a_cps", "singles_rate_a"),
+    ("singles_rate_b_cps", "singles_rate_b"),
+)
+
+
+_hints = cache(get_type_hints)  # resolving string annotations takes ~0.2 ms a call
+
+
+def _field_type(cls: type, path: str) -> type:
+    return reduce(lambda owner, name: _hints(owner)[name], path.split("."), cls)
+
+
+def _format(owner, path: str) -> str:
+    value = reduce(getattr, path.split("."), owner)
+    return repr(float(value)) if _field_type(type(owner), path) is float else str(value)
+
+
+def _parse(cp: configparser.ConfigParser, section: str, key: str, kind: type):
+    """[section] key as a finite float, an int, True/False or a str."""
+    text = cp.get(section, key)  # NoSectionError/NoOptionError name what is missing
+    try:
+        value = {"True": True, "False": False}[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"[{section}] {key}: invalid {kind.__name__} {text!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {text!r} is not a finite number")
+    return value
+
+
+def _build(cls: type, prefix: str, values: dict):
+    """cls from the values at or below prefix; other fields keep their defaults."""
+    kwargs = {}
+    for name, kind in _hints(cls).items():
+        if prefix + name in values:
+            kwargs[name] = values[prefix + name]
+        elif is_dataclass(kind):
+            kwargs[name] = _build(kind, f"{prefix}{name}.", values)
+    return cls(**kwargs)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     """Write the configuration as an INI file; load_config inverts it."""
     cp = configparser.ConfigParser()
-    cp["run"] = {"seed": str(config.seed), "mc_samples": str(config.mc_samples),
-                 "noiseless": str(config.noiseless)}
-    src = {"kind": config.source.kind, "pair_rate_cps": _f(config.source.pair_rate)}
+    for f in FIELDS:
+        if f.section == "acquisition" and not cp.has_section(f.section):
+            for stage, det in config.detection.items():
+                cp[f"detection.{stage}"] = {key: _format(det, name) for key, name in DETECTION_KEYS}
+        cp.read_dict({f.section: {f.key: _format(config, f.path)}})
     if config.source.kind == "werner":
-        src["p"] = _f(config.source.p)
+        cp["source"]["p"] = _format(config, "source.p")
     else:
-        src["state"] = "\n" + emit_matrix(config.source.state).rstrip("\n")
-    cp["source"] = src
-    cp["conversion"] = {
-        "eta_h": _f(config.conversion.eta_h), "eta_v": _f(config.conversion.eta_v),
-        "theta_rad": _f(config.conversion.theta), "dephase": _f(config.conversion.dephase)}
-    for stage, det in config.detection.items():
-        cp[f"detection.{stage}"] = {
-            "det_eff_810": _f(det.det_eff_810), "det_eff_532": _f(det.det_eff_532),
-            "conversion_eff": _f(det.conversion_eff), "coinc_window_s": _f(det.coinc_window),
-            "singles_rate_a_cps": _f(det.singles_rate_a),
-            "singles_rate_b_cps": _f(det.singles_rate_b)}
-    cp["acquisition"] = {
-        "input_duration_s": _f(config.acquisition.input_duration),
-        "output_duration_s": _f(config.acquisition.output_duration),
-        "process_duration_s": _f(config.acquisition.process_duration),
-        "chsh_duration_s": _f(config.acquisition.chsh_duration)}
-    cp["chsh"] = {
-        "alpha_deg": _f(config.chsh.alpha), "alpha_prime_deg": _f(config.chsh.alpha_prime),
-        "beta_deg": _f(config.chsh.beta), "beta_prime_deg": _f(config.chsh.beta_prime),
-        "source_p": _f(config.chsh_source_p)}
-    cp["process"] = {
-        "rate_cps": _f(config.process.rate),
-        "theta_rad": _f(config.process.channel.theta),
-        "dephase": _f(config.process.channel.dephase),
-        "accidental_rate_cps": _f(config.process.accidental_rate)}
-    cp["tomography"] = {
-        "max_iters": str(config.tomography.max_iters),
-        "rel_tol": _f(config.tomography.rel_tol),
-        "fit_normalization": str(config.tomography.fit_normalization),
-        "tp_mode": config.tomography.tp_mode}
-    eff = config.efficiency
-    cp["efficiency"] = {
-        "pump_power_w": _f(eff.efficiency.pump_power),
-        "lambda_in_m": _f(eff.efficiency.lambda_1),
-        "lambda_out_m": _f(eff.efficiency.lambda_2),
-        "lambda_pump_m": _f(eff.efficiency.lambda_p),
-        "n_in": _f(eff.efficiency.n_1), "n_out": _f(eff.efficiency.n_2),
-        "d_eff_m_per_v": _f(eff.efficiency.d_eff),
-        "crystal_length_m": _f(eff.efficiency.crystal_length),
-        "h_m": _f(eff.efficiency.h_m),
-        "power_in_w": _f(eff.power_in), "power_out_w": _f(eff.power_out),
-        "cal_lambda_in_m": _f(eff.lambda_in), "cal_lambda_out_m": _f(eff.lambda_out),
-        "optical_loss": _f(eff.optical_loss),
-        "pair_rate_in_cps": _f(eff.pair_rate_in),
-        "pair_rate_converted_cps": _f(eff.pair_rate_converted),
-        "fiber_coupling": _f(eff.fiber_coupling),
-        "per_crystal_pump_factor": _f(eff.per_crystal_pump_factor),
-        "focus_position_factor": _f(eff.focus_position_factor)}
+        cp["source"]["state"] = "\n" + emit_matrix(config.source.state).rstrip("\n")
     with open(path, "w") as fh:
         cp.write(fh)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse an INI configuration written by save_config (or by hand)."""
+    """Parse an INI configuration written by save_config (or by hand).
+
+    Unknown sections or keys, floats that are not finite and booleans other
+    than True/False raise a ConfigError naming the section and key.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
     try:
-        run = cp["run"]
-        seed = int(run["seed"])
-        mc_samples = int(run.get("mc_samples", "100"))
-        noiseless = run.get("noiseless", "False") == "True"
-
-        src = cp["source"]
-        kind = src["kind"].strip()
-        if kind == "werner":
-            source = SourceModel(kind="werner", p=float(src["p"]),
-                                 pair_rate=float(src["pair_rate_cps"]))
-        elif kind == "custom":
-            state = parse_matrix(src["state"])
-            source = SourceModel(kind="custom", state=check_density_matrix(state),
-                                 pair_rate=float(src["pair_rate_cps"]))
-        else:
-            raise ConfigError(f"unknown source kind {kind!r}")
-
-        conv = cp["conversion"]
-        conversion = ConversionParams(
-            eta_h=float(conv["eta_h"]), eta_v=float(conv["eta_v"]),
-            theta=float(conv["theta_rad"]), dephase=float(conv["dephase"]))
-
-        detection = {}
-        for section in cp.sections():
-            if not section.startswith("detection."):
-                continue
-            stage = section.split(".", 1)[1]
-            d = cp[section]
-            detection[stage] = DetectionModel(
-                det_eff_810=float(d["det_eff_810"]), det_eff_532=float(d["det_eff_532"]),
-                conversion_eff=float(d["conversion_eff"]),
-                coinc_window=float(d["coinc_window_s"]),
-                singles_rate_a=float(d["singles_rate_a_cps"]),
-                singles_rate_b=float(d["singles_rate_b_cps"]))
-
-        acq = cp["acquisition"]
-        acquisition = Acquisition(
-            input_duration=float(acq["input_duration_s"]),
-            output_duration=float(acq["output_duration_s"]),
-            process_duration=float(acq["process_duration_s"]),
-            chsh_duration=float(acq["chsh_duration_s"]))
-
-        ch = cp["chsh"]
-        chsh = ChshSettings(alpha=float(ch["alpha_deg"]), alpha_prime=float(ch["alpha_prime_deg"]),
-                            beta=float(ch["beta_deg"]), beta_prime=float(ch["beta_prime_deg"]))
-        chsh_source_p = float(ch["source_p"])
-
-        pr = cp["process"]
-        process = ProcessStage(
-            rate=float(pr["rate_cps"]),
-            channel=ConversionParams(theta=float(pr["theta_rad"]), dephase=float(pr["dephase"])),
-            accidental_rate=float(pr.get("accidental_rate_cps", "0")))
-
-        tm = cp["tomography"]
-        tomography = TomographyOptions(
-            max_iters=int(tm["max_iters"]), rel_tol=float(tm["rel_tol"]),
-            fit_normalization=tm.get("fit_normalization", "False") == "True",
-            tp_mode=tm.get("tp_mode", "constrain"))
-
-        ef = cp["efficiency"]
-        efficiency = BudgetInputs(
-            power_in=float(ef["power_in_w"]), power_out=float(ef["power_out_w"]),
-            lambda_in=float(ef["cal_lambda_in_m"]), lambda_out=float(ef["cal_lambda_out_m"]),
-            optical_loss=float(ef["optical_loss"]),
-            pair_rate_in=float(ef["pair_rate_in_cps"]),
-            pair_rate_converted=float(ef["pair_rate_converted_cps"]),
-            fiber_coupling=float(ef["fiber_coupling"]),
-            per_crystal_pump_factor=float(ef["per_crystal_pump_factor"]),
-            focus_position_factor=float(ef["focus_position_factor"]),
-            efficiency=EfficiencyParams(
-                pump_power=float(ef["pump_power_w"]),
-                lambda_1=float(ef["lambda_in_m"]), lambda_2=float(ef["lambda_out_m"]),
-                lambda_p=float(ef["lambda_pump_m"]),
-                n_1=float(ef["n_in"]), n_2=float(ef["n_out"]),
-                d_eff=float(ef["d_eff_m_per_v"]),
-                crystal_length=float(ef["crystal_length_m"]), h_m=float(ef["h_m"])))
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        if cp.read(path):
+            return _from_ini(cp)
+    except (configparser.Error, ValueError) as exc:  # ConfigError among them
         raise ConfigError(f"invalid config {path}: {exc}") from exc
+    raise ConfigError(f"cannot read config file {path}")
 
-    return ExperimentConfig(
-        seed=seed, noiseless=noiseless, source=source, conversion=conversion,
-        detection=detection, acquisition=acquisition, chsh=chsh,
-        chsh_source_p=chsh_source_p, process=process, tomography=tomography,
-        mc_samples=mc_samples, efficiency=efficiency)
+
+def _from_ini(cp: configparser.ConfigParser) -> ExperimentConfig:
+    known = {"source": {"p", "state"}}
+    for f in FIELDS:
+        known.setdefault(f.section, set()).add(f.key)
+    values = {"detection": {}}
+    for section in cp.sections():
+        stage = section.removeprefix("detection.") if section.startswith("detection.") else None
+        allowed = known.get(section) if stage is None else dict(DETECTION_KEYS)
+        if allowed is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if key not in allowed:
+                raise ConfigError(f"unknown key [{section}] {key}")
+        if stage is not None:
+            values["detection"][stage] = DetectionModel(
+                **{name: _parse(cp, section, key, float) for key, name in DETECTION_KEYS})
+    for f in FIELDS:
+        if cp.has_option(f.section, f.key) or not f.optional:
+            values[f.path] = _parse(cp, f.section, f.key, _field_type(ExperimentConfig, f.path))
+    if values["source.kind"] == "werner":
+        values["source.p"] = _parse(cp, "source", "p", float)
+    elif values["source.kind"] == "custom":
+        values["source.state"] = check_density_matrix(parse_matrix(cp.get("source", "state")))
+    return _build(ExperimentConfig, "", values)

@@ -134,29 +134,25 @@ def _state_report(result: TomographyResult, label: str) -> str:
 
 def run_reconstruct_state(config: ExperimentConfig, outdir: str | Path,
                           counts_path: str | Path, label: str,
-                          subtract: bool = True,
-                          mc_samples: int | None = None) -> TomographyResult:
+                          subtract: bool = True) -> TomographyResult:
     """Reconstruct a two-qubit state from a count CSV and write its report."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    n = mc_samples if mc_samples is not None else config.mc_samples
     result, _ = state_metrics_with_errors(records, config.tomography, subtract,
-                                          n, _mc_seed(config, 0))
+                                          config.mc_samples, _mc_seed(config, 0))
     (outdir / f"state_{label}.txt").write_text(_state_report(result, label))
     return result
 
 
 def run_reconstruct_process(config: ExperimentConfig, outdir: str | Path,
-                            counts_path: str | Path,
-                            mc_samples: int | None = None) -> TomographyResult:
+                            counts_path: str | Path) -> TomographyResult:
     """Reconstruct the conversion process from a count CSV and write its report."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    n = mc_samples if mc_samples is not None else config.mc_samples
-    result, _ = process_metrics_with_errors(records, config.tomography, n,
-                                            _mc_seed(config, 1))
+    result, _ = process_metrics_with_errors(records, config.tomography,
+                                            config.mc_samples, _mc_seed(config, 1))
     (outdir / "process_chi.txt").write_text(_state_report(result, "process"))
     return result
 

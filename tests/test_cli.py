@@ -95,6 +95,15 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 2
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", "-3", "seed must be >= 0, got -3"),
+    ("--mc-samples", "1", "mc_samples must be >= 2, got 1"),
+])
+def test_invalid_override_exits_2(tmp_path, capsys, option, value, message):
+    assert main([option, value, "--out", str(tmp_path / "o"), "simulate"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_counts_exits_4(tmp_path, config_path):
     code = main(["--config", str(config_path), "--out", str(tmp_path / "o"),
                  "chsh", "--counts", str(tmp_path / "absent.csv")])

@@ -1,12 +1,116 @@
 """Round-trip tests for report serialization and the INI configuration."""
+import string
+import tempfile
+from dataclasses import fields, is_dataclass
+from functools import reduce
+from pathlib import Path
+from typing import get_type_hints
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entconv.config import (ConfigError, default_config, load_config, save_config,
+from entconv.chsh import ChshSettings
+from entconv.config import (DETECTION_KEYS, FIELDS, Acquisition, ConfigError, ExperimentConfig,
+                            ProcessStage, default_config, load_config, save_config,
                             tuned_source_state)
+from entconv.conversion import (BudgetInputs, ConversionParams, DetectionModel,
+                                EfficiencyParams, SourceModel)
 from entconv.reports import (emit_keyvalues, emit_matrix, emit_report,
                              parse_keyvalues, parse_matrix, parse_report)
 from entconv.states import check_density_matrix
+from entconv.tomography import TomographyOptions
+
+DATA = Path(__file__).parent / "data"
+# The keys written since [tomography] start and [process] eta_h/eta_v joined
+# the format; files written before then lack exactly these lines.
+ADDED_LINES = ("eta_h = 1.0\n", "eta_v = 1.0\n", "start = inversion\n")
+# ExperimentConfig fields stored outside the field table: the werner/custom
+# branch of [source] and the [detection.<stage>] sections.
+NOT_IN_TABLE = {"source.p", "source.state", "detection"}
+
+
+def same_config(a, b) -> bool:
+    """Exact equality of two config trees (ExperimentConfig.__eq__ raises on
+    the ndarray source state)."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_config(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_config(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def leaf_paths(cls: type, prefix: str = ""):
+    for name, kind in get_type_hints(cls).items():
+        if is_dataclass(kind):
+            yield from leaf_paths(kind, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def random_density_matrix(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.real(np.trace(rho))
+
+
+def round_trip(config: ExperimentConfig) -> ExperimentConfig:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.ini"
+        save_config(config, path)
+        return load_config(path)
+
+
+reals = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+angles = st.floats(0.0, 180.0, exclude_max=True)
+channels = st.builds(ConversionParams, eta_h=st.floats(1e-3, 1.0), eta_v=unit,
+                     theta=reals, dephase=unit)
+detections = st.builds(DetectionModel, det_eff_810=unit, det_eff_532=unit,
+                       conversion_eff=unit, coinc_window=positive,
+                       singles_rate_a=non_negative, singles_rate_b=non_negative)
+stage_names = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
+configs = st.builds(
+    ExperimentConfig,
+    seed=st.integers(0, 2 ** 64),
+    noiseless=st.booleans(),
+    source=st.one_of(
+        st.builds(SourceModel, kind=st.just("werner"), p=unit, pair_rate=non_negative),
+        st.builds(SourceModel, kind=st.just("custom"), pair_rate=non_negative,
+                  state=st.integers(0, 2 ** 32 - 1).map(random_density_matrix))),
+    conversion=channels,
+    detection=st.tuples(st.dictionaries(stage_names, detections, max_size=3),
+                        detections, detections, detections).map(
+        lambda t: {**t[0], "input": t[1], "output": t[2], "chsh": t[3]}),
+    acquisition=st.builds(Acquisition, input_duration=positive, output_duration=positive,
+                          process_duration=positive, chsh_duration=positive),
+    chsh=st.builds(ChshSettings, alpha=angles, alpha_prime=angles, beta=angles,
+                   beta_prime=angles),
+    chsh_source_p=unit,
+    process=st.builds(ProcessStage, rate=positive, channel=channels,
+                      accidental_rate=non_negative),
+    tomography=st.builds(TomographyOptions, max_iters=st.integers(1, 10 ** 6),
+                         rel_tol=positive, fit_normalization=st.booleans(),
+                         tp_mode=st.sampled_from(["constrain", "normalize"]),
+                         start=st.sampled_from(["inversion", "mixed"])),
+    mc_samples=st.integers(2, 10 ** 6),
+    efficiency=st.builds(
+        BudgetInputs, power_in=positive, power_out=positive, lambda_in=positive,
+        lambda_out=positive, optical_loss=st.floats(0.0, 1.0, exclude_max=True),
+        pair_rate_in=positive, pair_rate_converted=positive,
+        fiber_coupling=st.floats(0.0, 1.0, exclude_min=True),
+        per_crystal_pump_factor=reals, focus_position_factor=reals,
+        efficiency=st.builds(EfficiencyParams, pump_power=positive, lambda_1=positive,
+                             lambda_2=positive, lambda_p=positive, n_1=positive,
+                             n_2=positive, d_eff=positive, crystal_length=positive,
+                             h_m=positive)))
 
 
 class TestKeyValueBlocks:
@@ -112,6 +216,71 @@ class TestConfig:
         path = tmp_path / "partial.ini"
         path.write_text("[run]\nseed = 1\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_default_config_matches_fixture(self, tmp_path):
+        path = tmp_path / "default.ini"
+        save_config(default_config(), path)
+        assert path.read_bytes() == (DATA / "default.ini").read_bytes()
+
+    def test_file_without_added_keys_loads_default(self, tmp_path):
+        text = (DATA / "default.ini").read_text()
+        for line in ADDED_LINES:
+            assert text.count(line) == 1
+            text = text.replace(line, "")
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        assert same_config(load_config(path), default_config())
+
+    @pytest.mark.parametrize("path, value", [("tomography.start", "mixed"),
+                                             ("process.channel.eta_h", 0.5),
+                                             ("process.channel.eta_v", 0.25)])
+    def test_formerly_dropped_field_round_trips(self, path, value):
+        config = default_config()
+        owner, _, name = path.rpartition(".")
+        setattr(reduce(getattr, owner.split("."), config), name, value)
+        assert same_config(round_trip(config), config)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(configs)
+    def test_every_field_round_trips(self, config):
+        assert same_config(round_trip(config), config)
+
+    def test_table_covers_every_field(self):
+        paths = [f.path for f in FIELDS]
+        keys = [(f.section, f.key) for f in FIELDS]
+        assert len(set(paths)) == len(paths) and len(set(keys)) == len(keys)
+        assert not set(paths) & NOT_IN_TABLE
+        assert set(paths) | NOT_IN_TABLE == set(leaf_paths(ExperimentConfig))
+        assert sorted(name for _, name in DETECTION_KEYS) == sorted(
+            f.name for f in fields(DetectionModel))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("coinc_window_s = 3e-09", "coinc_window_s = nan",
+         r"\[detection.input\] coinc_window_s: 'nan' is not a finite number"),
+        ("pair_rate_cps = 73000.0", "pair_rate_cps = inf",
+         r"\[source\] pair_rate_cps: 'inf' is not a finite number"),
+        ("rel_tol = 1e-10", "rel_tol = -inf", r"\[tomography\] rel_tol: '-inf'"),
+        ("noiseless = False", "noiseless = true", r"\[run\] noiseless: invalid bool 'true'"),
+        ("max_iters = 5000", "max_iters = 5e3", r"\[tomography\] max_iters: invalid int"),
+        ("mc_samples = 100", "mc_sample = 5", r"unknown key \[run\] mc_sample"),
+        ("singles_rate_b_cps = 0.0", "singles_rate_b_cps = 0.0\nsingles_rate_c_cps = 0.0",
+         r"unknown key \[detection.chsh\] singles_rate_c_cps"),
+        ("[chsh]", "[chsh_settings]", r"unknown section \[chsh_settings\]"),
+        ("seed = 103", "seed = -1", "seed must be >= 0"),
+    ])
+    def test_strict_values_and_names(self, tmp_path, old, new, message):
+        text = (DATA / "default.ini").read_text()
+        assert old in text
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_file_without_section_header(self, tmp_path):
+        path = tmp_path / "headless.ini"
+        path.write_text("seed = 1\n")
+        with pytest.raises(ConfigError, match="invalid config"):
             load_config(path)
 
     def test_unknown_source_kind(self, tmp_path):
