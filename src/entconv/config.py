@@ -175,9 +175,6 @@ FIELDS = (
     Key("process", "accidental_rate_cps", "process.accidental_rate", optional=True),
     Key("tomography", "max_iters", "tomography.max_iters"),
     Key("tomography", "rel_tol", "tomography.rel_tol"),
-    Key("tomography", "fit_normalization", "tomography.fit_normalization", optional=True),
-    Key("tomography", "tp_mode", "tomography.tp_mode", optional=True),
-    Key("tomography", "start", "tomography.start", optional=True),
     Key("efficiency", "pump_power_w", "efficiency.efficiency.pump_power"),
     Key("efficiency", "lambda_in_m", "efficiency.efficiency.lambda_1"),
     Key("efficiency", "lambda_out_m", "efficiency.efficiency.lambda_2"),
@@ -209,6 +206,10 @@ DETECTION_KEYS = (
     ("singles_rate_b_cps", "singles_rate_b"),
 )
 
+# Retired tomography keys: older files load at the one value each may hold.
+RETIRED = {("tomography", "fit_normalization"): "False",
+           ("tomography", "tp_mode"): "constrain", ("tomography", "start"): "inversion"}
+
 
 _hints = cache(get_type_hints)  # resolving string annotations takes ~0.2 ms a call
 
@@ -234,6 +235,14 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str, kind: type):
     return value
 
 
+def _checked(section: str, cls: type, kwargs: dict):
+    """cls(**kwargs); a failed range check names the INI section it came from."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _build(cls: type, prefix: str, values: dict):
     """cls from the values at or below prefix; other fields keep their defaults."""
     kwargs = {}
@@ -242,7 +251,9 @@ def _build(cls: type, prefix: str, values: dict):
             kwargs[name] = values[prefix + name]
         elif is_dataclass(kind):
             kwargs[name] = _build(kind, f"{prefix}{name}.", values)
-    return cls(**kwargs)
+    if not prefix:  # ExperimentConfig's own checks name their keys
+        return cls(**kwargs)
+    return _checked(next(f.section for f in FIELDS if f.path.startswith(prefix)), cls, kwargs)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -264,8 +275,9 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse an INI configuration written by save_config (or by hand).
 
-    Unknown sections or keys, floats that are not finite and booleans other
-    than True/False raise a ConfigError naming the section and key.
+    Unknown sections or keys, floats that are not finite, booleans other
+    than True/False and retired keys off their one value raise a ConfigError
+    naming the section and key; a failed range check names its section.
     """
     cp = configparser.ConfigParser()
     try:
@@ -287,11 +299,14 @@ def _from_ini(cp: configparser.ConfigParser) -> ExperimentConfig:
         if allowed is None:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in allowed:
+            retired = RETIRED.get((section, key))
+            if retired not in (None, cp[section][key]):
+                raise ConfigError(f"[{section}] {key}: retired, only {retired!r} is supported")
+            if retired is None and key not in allowed:
                 raise ConfigError(f"unknown key [{section}] {key}")
         if stage is not None:
-            values["detection"][stage] = DetectionModel(
-                **{name: _parse(cp, section, key, float) for key, name in DETECTION_KEYS})
+            values["detection"][stage] = _checked(section, DetectionModel, {
+                name: _parse(cp, section, key, float) for key, name in DETECTION_KEYS})
     for f in FIELDS:
         if cp.has_option(f.section, f.key) or not f.optional:
             values[f.path] = _parse(cp, f.section, f.key, _field_type(ExperimentConfig, f.path))

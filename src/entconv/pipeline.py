@@ -205,7 +205,8 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
     """Full pipeline: simulate, reconstruct everything, compare to references.
 
     The summary lists each simulated quantity next to the published value it
-    models; the references are labels, not fit targets.
+    models; the references are labels, not fit targets. Every file is written
+    even if a fit did not converge; a RuntimeError then names those stages.
     """
     outdir = Path(outdir)
     paths = run_simulate(config, outdir)
@@ -243,12 +244,14 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
         "intrinsic_pair_conversion": budget["pair_conversion_intrinsic"],
         "theory_single_crystal_efficiency": budget["theory_single_crystal"],
     }
-    converged = all(r.converged for r in (in_raw, in_cor, out_raw, out_cor, proc))
-    items: dict[str, object] = {"all_reconstructions_converged": converged}
+    fits = {"input_raw": in_raw, "input_corrected": in_cor, "output_raw": out_raw,
+            "output_corrected": out_cor, "process": proc}
+    unconverged = [label for label, fit in fits.items() if not fit.converged]
+    items: dict[str, object] = {"all_reconstructions_converged": not unconverged}
     for key in _SUMMARY_KEYS:
         items[key] = values[key]
         items[key + "_ref"] = float(REFERENCE_VALUES[key])
     (outdir / "summary.txt").write_text(emit_keyvalues(items))
-    if not converged:
-        raise RuntimeError("at least one reconstruction did not converge")
+    if unconverged:
+        raise RuntimeError(f"reconstructions did not converge: {', '.join(unconverged)}")
     return values

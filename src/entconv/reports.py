@@ -71,8 +71,7 @@ def emit_report(items: dict, matrix: np.ndarray | None = None) -> str:
 
 
 def parse_report(text: str) -> tuple[dict[str, str], np.ndarray | None]:
-    """Inverse of emit_report."""
-    if MATRIX_MARKER in text:
-        head, tail = text.split(MATRIX_MARKER, 1)
-        return parse_keyvalues(head), parse_matrix(tail)
-    return parse_keyvalues(text), None
+    """Inverse of emit_report. The matrix block starts after the line that is
+    exactly the marker, so a key may end in 'matrix'."""
+    head, marker, tail = ("\n" + text).partition(f"\n{MATRIX_MARKER}\n")
+    return parse_keyvalues(head), (parse_matrix(tail) if marker else None)

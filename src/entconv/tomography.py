@@ -3,12 +3,13 @@
 State reconstruction parameterizes the density matrix as T^dag T / Tr(T^dag T)
 with an upper-triangular T (16 real parameters), so the estimate satisfies
 Hermiticity, positivity and unit trace by construction, and maximizes the
-Poisson log-likelihood sum_s [n_s log mu_s - mu_s].
+Poisson log-likelihood sum_s [n_s log mu_s - mu_s] from the linear inversion.
 
 Process reconstruction is the same fit applied to the Choi matrix
 J = M^dag M followed by the exact trace-preservation retraction
-J -> (I x G^{-1/2}) J (I x G^{-1/2}) with G = Tr_out J, then converts to the
-chi representation in the Pauli basis (I, X, Y, Z). Both objectives have
+J -> (I x G^{-1/2}) J (I x G^{-1/2}) with G = Tr_out J, so every estimate is
+trace preserving, then converts to the chi representation in the Pauli basis
+(I, X, Y, Z). Each fit kind has this one likelihood model. Both objectives have
 analytic gradients; the process gradient is pulled back through the
 retraction by the chain rule, with the derivative of G^{-1/2} taken from its
 eigendecomposition (Daleckii-Krein divided differences).
@@ -28,7 +29,6 @@ stacks and the linear-inversion design matrix are built once, at import.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import product
 from typing import Callable
 
@@ -44,9 +44,6 @@ from .states import (MetricReport, PAULIS, PROJECTOR_LABELS, bell_state, fidelit
 class ReconstructionError(RuntimeError):
     """Raised when a reconstruction cannot be carried out on the given data."""
 
-
-#: Basis family of each analysis label (H/V, D/A and R/L are complete pairs).
-_BASIS_OF = {"H": 0, "V": 0, "D": 1, "A": 1, "R": 2, "L": 2}
 
 _LABEL_INDEX = {l: i for i, l in enumerate(PROJECTOR_LABELS)}
 
@@ -70,8 +67,8 @@ def tomography_settings() -> list[tuple[str, str]]:
 #: Canonical setting order; every fit sees its records in this order.
 _SETTINGS = tomography_settings()
 
-#: Basis-pair group (0..8) of each canonical setting.
-_GROUP = np.array([3 * _BASIS_OF[a] + _BASIS_OF[b] for a, b in _SETTINGS])
+#: Basis-pair group (0..8) of each canonical setting, by ``_group_sums``' rule.
+_GROUP = 3 * (np.arange(36) // 12) + np.arange(36) % 6 // 2
 
 
 def _kron_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -158,19 +155,12 @@ def _group_sums(rates: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TomographyOptions:
-    """Optimizer and reporting knobs shared by both reconstructions."""
+    """Optimizer stopping rules shared by both reconstructions."""
 
     max_iters: int = 5000
     rel_tol: float = 1e-10          # relative log-likelihood increment
-    fit_normalization: bool = False  # fit the total flux as an extra parameter
-    tp_mode: str = "constrain"       # "constrain" (exact TP) or "normalize"
-    start: str = "inversion"         # "inversion" warm start or "mixed" cold start
 
     def __post_init__(self):
-        if self.tp_mode not in ("constrain", "normalize"):
-            raise ValueError(f"unknown tp_mode {self.tp_mode!r}")
-        if self.start not in ("inversion", "mixed"):
-            raise ValueError(f"unknown start {self.start!r}")
         if self.max_iters < 1 or self.rel_tol <= 0.0:
             raise ValueError("max_iters must be >= 1 and rel_tol > 0")
 
@@ -234,7 +224,7 @@ def _t_to_params(T: np.ndarray) -> np.ndarray:
 
 def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):
     """Negative log-likelihood per row at probabilities p (B, 36), the clipped
-    p, mu and weights.
+    p and the weights.
 
     The weight w_s = dll/dp_s is zero where p_s is clipped at the floor,
     because the clipped objective does not depend on p_s there.
@@ -243,23 +233,18 @@ def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):
     mu = norms * c
     nll = -np.sum(counts * np.log(mu) - mu, axis=1)
     w = np.where(p < _P_FLOOR, 0.0, counts / c - norms)
-    return nll, c, mu, w
+    return nll, c, w
 
 
-def _state_nll(t, counts, norms, fit_normalization):
-    T = _params_to_t(t[:, :16])
+def _state_nll(t, counts, norms):
+    T = _params_to_t(t)
     g = _dag(T) @ T
     tau = np.real(np.trace(g, axis1=1, axis2=2))[:, None, None]
-    if fit_normalization:
-        norms = np.exp(t[:, 16:]) * norms
     p = np.real((g / tau).reshape(-1, 16) @ _STATE_PROJS_T.T)
-    nll, c, mu, w = _poisson_terms(p, counts, norms)
+    nll, c, w = _poisson_terms(p, counts, norms)
     m = (w @ _STATE_PROJS.reshape(36, 16)).reshape(-1, 4, 4)
     wc = np.sum(w * c, axis=1)[:, None, None]
-    grad = 2.0 * _t_to_params((T @ m - wc * T) / tau)
-    if fit_normalization:
-        grad = np.concatenate([grad, np.sum(counts - mu, axis=1)[:, None]], axis=1)
-    return nll, -grad
+    return nll, -2.0 * _t_to_params((T @ m - wc * T) / tau)
 
 
 def _blocks(a: np.ndarray) -> np.ndarray:
@@ -286,33 +271,28 @@ def _retraction(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return _from_blocks(sb @ jb @ sb), s, r, v
 
 
-def _process_nll(t, counts, norms, retract):
+def _process_nll(t, counts, norms):
     T = _params_to_t(t)
     j = _dag(T) @ T
-    if retract:
-        choi, s, r, v = _retraction(j)
-    else:
-        choi = j
-    nll, _, _, w = _poisson_terms(np.real(choi.reshape(-1, 16) @ _PROCESS_W_T.T),
-                                  counts, norms)
+    choi, s, r, v = _retraction(j)
+    nll, _, w = _poisson_terms(np.real(choi.reshape(-1, 16) @ _PROCESS_W_T.T),
+                               counts, norms)
     k = (w @ _PROCESS_W.reshape(36, 16)).reshape(-1, 4, 4)  # dll = Tr[K dJ]
-    if retract:
-        # J = X j X with X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS] with
-        # q = Tr_out(j X K + K X j), and dS = V (F o V^dag dG V) V^dag
-        # where F_ab = -1 / (r_a r_b (r_a + r_b)) and dG = Tr_out dj.
-        sb = s[:, None, None]
-        xk = sb @ _blocks(k)
-        q = j @ _from_blocks(xk)
-        qb = _blocks(q + _dag(q))
-        ra, rb = r[:, :, None], r[:, None, :]
-        f = -1.0 / (ra * rb * (ra + rb))
-        vh = _dag(v)
-        dg = v @ (f * (vh @ (qb[:, 0, 0] + qb[:, 1, 1]) @ v)) @ vh
-        kb = xk @ sb
-        kb[:, 0, 0] += dg
-        kb[:, 1, 1] += dg
-        k = _from_blocks(kb)
-    return nll, -2.0 * _t_to_params(T @ k)
+    # J = X j X with X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS] with
+    # q = Tr_out(j X K + K X j), and dS = V (F o V^dag dG V) V^dag
+    # where F_ab = -1 / (r_a r_b (r_a + r_b)) and dG = Tr_out dj.
+    sb = s[:, None, None]
+    xk = sb @ _blocks(k)
+    q = j @ _from_blocks(xk)
+    qb = _blocks(q + _dag(q))
+    ra, rb = r[:, :, None], r[:, None, :]
+    f = -1.0 / (ra * rb * (ra + rb))
+    vh = _dag(v)
+    dg = v @ (f * (vh @ (qb[:, 0, 0] + qb[:, 1, 1]) @ v)) @ vh
+    kb = xk @ sb
+    kb[:, 0, 0] += dg
+    kb[:, 1, 1] += dg
+    return nll, -2.0 * _t_to_params(T @ _from_blocks(kb))
 
 
 @dataclass(frozen=True)
@@ -355,8 +335,7 @@ def _unit_counts(raw: np.ndarray):
     return raw / scale[:, None], scale, total, empty
 
 
-def _state_problem(durations: np.ndarray, raw: np.ndarray,
-                   fit_normalization: bool) -> tuple[Objective, dict[int, str]]:
+def _state_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, dict[int, str]]:
     """The objective ``mle_state_batch`` minimizes for (B, 36) canonical raw
     counts, and why each row without counts cannot be fitted. The flux N is
     the mean summed rate of the nine basis-pair groups, whose four joint
@@ -364,25 +343,22 @@ def _state_problem(durations: np.ndarray, raw: np.ndarray,
     counts, scale, total, empty = _unit_counts(raw)
     flux = np.mean(_group_sums(raw / durations), axis=1)
     norms = flux[:, None] * durations / scale[:, None]
-    core = partial(_state_nll, fit_normalization=fit_normalization)
     errors = {b: "all counts are zero" for b in np.flatnonzero(empty).tolist()}
-    return Objective(core, counts, norms, scale, total), errors
+    return Objective(_state_nll, counts, norms, scale, total), errors
 
 
-def _process_problem(durations: np.ndarray, raw: np.ndarray,
-                     tp_mode: str) -> tuple[Objective, dict[int, str]]:
+def _process_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, dict[int, str]]:
     """The objective ``mle_process_batch`` minimizes for (B, 36) canonical raw
     counts, and why each row without counts, or with an input state without
     counts, cannot be fitted."""
     counts, scale, total, empty = _unit_counts(raw)
     flux = (raw / durations).reshape(-1, 6, 6).sum(axis=2) / 3.0
     norms = np.repeat(flux, 6, axis=1) * durations / scale[:, None]
-    core = partial(_process_nll, retract=tp_mode == "constrain")
     dark = flux <= 0.0
     errors = {b: "all counts are zero" if empty[b] else
               f"input state {PROJECTOR_LABELS[np.argmax(dark[b])]!r} has zero counts"
               for b in np.flatnonzero(dark.any(axis=1)).tolist()}
-    return Objective(core, counts, norms, scale, total), errors
+    return Objective(_process_nll, counts, norms, scale, total), errors
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +392,12 @@ def _minimize_one(fun, x0, fit, pgtol, rel_tol, max_iters, maxcor):
 
 
 def _fit_batch(objective: Objective, t0: np.ndarray, errors: dict[int, str],
-               opts: TomographyOptions, lbfgs: tuple[float, int],
+               options: TomographyOptions | None, lbfgs: tuple[float, int],
                estimate: Callable[[np.ndarray], np.ndarray]) -> BatchFit:
     """Minimize every fit of ``objective`` without an entry in ``errors``; a
     fit whose likelihood history falls fails too. One table is fitted by
     ``_minimize_one``, several at once by ``lbfgs.minimize_rows``."""
+    opts = options or TomographyOptions()
     gtol, maxcor = lbfgs
     failed = np.isin(np.arange(len(t0)), list(errors))
     minimize = _minimize_one if len(t0) == 1 else minimize_rows
@@ -468,11 +445,11 @@ def _rho_of_params(t: np.ndarray) -> np.ndarray:
     return g / np.real(np.trace(g, axis1=-2, axis2=-1))[..., None, None]
 
 
-def _params_of_rho(rho: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+def _params_of_rho(rho: np.ndarray) -> np.ndarray:
     """Parameters whose reconstruction is the PSD projection of ``rho``
     (one matrix or a stack)."""
     w, v = np.linalg.eigh((rho + _dag(rho)) / 2.0)
-    w = np.clip(w, floor, None)
+    w = np.clip(w, 1e-10, None)
     r = (v * w[..., None, :]) @ _dag(v)
     r /= np.real(np.trace(r, axis1=-2, axis2=-1))[..., None, None]
     return _t_to_params(_dag(np.linalg.cholesky(r)))
@@ -529,24 +506,17 @@ def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
     ``records`` give the settings and durations; row b of ``counts`` (shape
     (B, 36), in the order of ``records``) replaces their coincidences,
     clamped at zero. Expected counts are mu_s = N * duration_s *
-    Tr[(P_a x P_b) rho(t)] over 16 parameters; the flux N is estimated from
-    the complete basis groups, or scaled by exp(t[16]) when
-    ``fit_normalization`` is set. A fit starts from the linear inversion of
-    its table, or from the mixed state where a basis group has no counts or
-    ``start`` is "mixed". A row without counts fails.
+    Tr[(P_a x P_b) rho(t)] over 16 parameters, with the flux N fixed to the
+    mean summed rate of the nine complete basis groups. A fit starts from
+    the linear inversion of its table, or from the mixed state where a basis
+    group has no counts. A row without counts fails.
     """
-    opts = options or TomographyOptions()
     durations, raw = _batch_table(records, counts)
-    objective, errors = _state_problem(durations, raw, opts.fit_normalization)
-    rho0 = np.tile(np.eye(4, dtype=complex) / 4.0, (len(raw), 1, 1))
-    if opts.start == "inversion":
-        rho_li, first_empty = _inversion(raw / durations)
-        rho0[first_empty < 0] = rho_li[first_empty < 0]
-    t0 = _params_of_rho(rho0)
-    if opts.fit_normalization:
-        t0 = np.column_stack([t0, np.zeros(len(t0))])
-    return _fit_batch(objective, t0, errors, opts, _STATE_LBFGS,
-                      lambda x: _rho_of_params(x[:, :16]))
+    objective, errors = _state_problem(durations, raw)
+    rho0, first_empty = _inversion(raw / durations)
+    rho0[first_empty >= 0] = np.eye(4) / 4.0
+    return _fit_batch(objective, _params_of_rho(rho0), errors, options, _STATE_LBFGS,
+                      _rho_of_params)
 
 
 # ---------------------------------------------------------------------------
@@ -624,22 +594,17 @@ def check_chi_matrix(chi: np.ndarray, require_tp: bool = False,
     return chi
 
 
-def _chi_of_params(t: np.ndarray, retract: bool) -> np.ndarray:
-    """Chi matrices of (B, 16) Choi-factor parameters.
+def _chi_of_params(t: np.ndarray) -> np.ndarray:
+    """Chi matrices of the retracted Choi matrices of (B, 16) Choi-factor parameters.
 
     E(|i><j|)[o1, o2] = J[2 o1 + i, 2 o2 + j]; its column-major vec, stacked
     over the input basis, is the chi matrix in the Pauli-product basis.
     """
     T = _params_to_t(t)
-    j = _dag(T) @ T
-    if retract:
-        j = _retraction(j)[0]
+    j = _retraction(_dag(T) @ T)[0]
     vec = j.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 2, 3, 1).reshape(-1, 16)
     chi = (vec @ _CHI_BASIS_INV.T).reshape(-1, 4, 4)
-    chi = (chi + _dag(chi)) / 2.0
-    if not retract:
-        chi = chi / np.real(np.trace(chi, axis1=1, axis2=2))[:, None, None]
-    return chi
+    return (chi + _dag(chi)) / 2.0
 
 
 def mle_process(records: list[CountRecord],
@@ -660,19 +625,16 @@ def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
     (setting_b); ``counts`` replace their coincidences as in
     ``mle_state_batch``. Expected counts are mu_s = N_k * duration_s *
     Tr[W_s J(t)] over 16 Choi-factor parameters, with the per-input flux N_k
-    estimated from the three complete measurement bases. With
-    tp_mode="constrain", J(t) is the retracted Choi matrix, so trace
-    preservation holds exactly, and the gradient is pulled back through the
-    retraction; "normalize" fits an unconstrained CP map and rescales the chi
-    matrix to unit trace afterwards. A row without counts, or with an input
-    state without counts, fails.
+    fixed by the three complete measurement bases. J(t) is the retracted
+    Choi matrix, so trace preservation holds exactly (Jezek, Fiurasek and
+    Hradil, PRA 68, 012305, 2003), and the gradient is pulled back through
+    the retraction. A row without counts, or with an input state without
+    counts, fails.
     """
-    opts = options or TomographyOptions()
     durations, raw = _batch_table(records, counts)
-    objective, errors = _process_problem(durations, raw, opts.tp_mode)
-    retract = opts.tp_mode == "constrain"
-    return _fit_batch(objective, np.tile(_PROCESS_START, (len(raw), 1)), errors, opts,
-                      _PROCESS_LBFGS, lambda x: _chi_of_params(x, retract))
+    objective, errors = _process_problem(durations, raw)
+    return _fit_batch(objective, np.tile(_PROCESS_START, (len(raw), 1)), errors, options,
+                      _PROCESS_LBFGS, _chi_of_params)
 
 
 def process_fidelity(chi: np.ndarray, ideal: np.ndarray) -> float:

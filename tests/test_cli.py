@@ -95,6 +95,17 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 2
 
 
+@pytest.mark.parametrize("line, supported", [("fit_normalization = True", "False"),
+                                             ("tp_mode = normalize", "constrain"),
+                                             ("start = mixed", "inversion")])
+def test_retired_key_off_its_value_exits_2(tmp_path, config_path, capsys, line, supported):
+    text = config_path.read_text()
+    config_path.write_text(text.replace("[tomography]\n", f"[tomography]\n{line}\n"))
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "o"), "simulate"]) == 2
+    key = line.split(" =")[0]
+    assert f"[tomography] {key}: retired, only {supported!r} is supported" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--seed", "-3", "seed must be >= 0, got -3"),
     ("--mc-samples", "1", "mc_samples must be >= 2, got 1"),
@@ -135,6 +146,23 @@ def test_non_convergence_exits_3(tmp_path):
     code = main(["--config", str(path), "--out", str(out),
                  "--mc-samples", "2", "reconstruct-state"])
     assert code == 3
+
+
+def test_report_without_convergence_writes_everything_and_exits_3(tmp_path, capsys):
+    config = default_config()
+    config.tomography.max_iters = 1
+    path = tmp_path / "tight.ini"
+    save_config(config, path)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--mc-samples", "2", "report"]) == 3
+    for name in ("summary.txt", "state_input_raw.txt", "state_input.txt", "state_output_raw.txt",
+                 "state_output.txt", "process_chi.txt", "chsh.txt", "efficiency.txt",
+                 *COUNT_FILES.values()):
+        assert (out / name).exists()
+    items, _ = parse_report((out / "summary.txt").read_text())
+    assert items["all_reconstructions_converged"] == "False"
+    assert ("reconstructions did not converge: input_raw, input_corrected, output_raw, "
+            "output_corrected, process") in capsys.readouterr().err
 
 
 def test_reconstruction_error_exits_3(tmp_path, config_path, capsys):

@@ -22,9 +22,12 @@ from entconv.states import check_density_matrix
 from entconv.tomography import TomographyOptions
 
 DATA = Path(__file__).parent / "data"
-# The keys written since [tomography] start and [process] eta_h/eta_v joined
-# the format; files written before then lack exactly these lines.
-ADDED_LINES = ("eta_h = 1.0\n", "eta_v = 1.0\n", "start = inversion\n")
+# The keys written since [process] eta_h/eta_v joined the format; files
+# written before then lack exactly these lines.
+ADDED_LINES = ("eta_h = 1.0\n", "eta_v = 1.0\n")
+# The [tomography] lines of retired options that files written while they
+# existed carry, each at the one value the fits implement.
+RETIRED_LINES = "fit_normalization = False\ntp_mode = constrain\nstart = inversion\n"
 # ExperimentConfig fields stored outside the field table: the werner/custom
 # branch of [source] and the [detection.<stage>] sections.
 NOT_IN_TABLE = {"source.p", "source.state", "detection"}
@@ -97,9 +100,7 @@ configs = st.builds(
     process=st.builds(ProcessStage, rate=positive, channel=channels,
                       accidental_rate=non_negative),
     tomography=st.builds(TomographyOptions, max_iters=st.integers(1, 10 ** 6),
-                         rel_tol=positive, fit_normalization=st.booleans(),
-                         tp_mode=st.sampled_from(["constrain", "normalize"]),
-                         start=st.sampled_from(["inversion", "mixed"])),
+                         rel_tol=positive),
     mc_samples=st.integers(2, 10 ** 6),
     efficiency=st.builds(
         BudgetInputs, power_in=positive, power_out=positive, lambda_in=positive,
@@ -111,6 +112,44 @@ configs = st.builds(
                              lambda_2=positive, lambda_p=positive, n_1=positive,
                              n_2=positive, d_eff=positive, crystal_length=positive,
                              h_m=positive)))
+
+
+identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True)
+# keys that end in the matrix marker's word must not start the matrix block
+report_keys = st.one_of(identifiers, identifiers.map(lambda k: k + "_matrix"), st.just("matrix"))
+report_floats = st.one_of(st.floats(allow_nan=False),
+                          st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, float("inf"),
+                                           float("-inf")]))
+
+
+@st.composite
+def complex_matrices(draw):
+    n = draw(st.integers(1, 4))
+    m = np.empty(n * n, dtype=complex)  # re + 1j * im would turn an infinite re into nan
+    m.real = draw(st.lists(report_floats, min_size=n * n, max_size=n * n))
+    m.imag = draw(st.lists(report_floats, min_size=n * n, max_size=n * n))
+    return m.reshape(n, n)
+
+
+def typed(text: str, like):
+    """A parsed report value as the type of the emitted value ``like``."""
+    return {"True": True, "False": False}[text] if isinstance(like, bool) else type(like)(text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(report_keys, st.one_of(st.booleans(), st.integers(), report_floats)),
+       st.one_of(st.none(), complex_matrices()))
+def test_report_round_trip_property(items, matrix):
+    parsed, back = parse_report(emit_report(items, matrix))
+    assert list(parsed) == list(items)
+    for key, value in items.items():
+        # repr tells -0.0 from 0.0 and keeps every float digit
+        assert repr(typed(parsed[key], value)) == repr(value)
+    if matrix is None:
+        assert back is None
+    else:
+        assert back.shape == matrix.shape
+        assert np.array_equal(back.view(np.int64), matrix.view(np.int64))  # bit for bit
 
 
 class TestKeyValueBlocks:
@@ -232,8 +271,15 @@ class TestConfig:
         path.write_text(text)
         assert same_config(load_config(path), default_config())
 
-    @pytest.mark.parametrize("path, value", [("tomography.start", "mixed"),
-                                             ("process.channel.eta_h", 0.5),
+    def test_file_with_retired_keys_loads_default(self, tmp_path):
+        # the default config as written while the retired options existed
+        text = (DATA / "default.ini").read_text()
+        assert text.count("rel_tol = 1e-10\n") == 1
+        path = tmp_path / "retired.ini"
+        path.write_text(text.replace("rel_tol = 1e-10\n", "rel_tol = 1e-10\n" + RETIRED_LINES))
+        assert same_config(load_config(path), default_config())
+
+    @pytest.mark.parametrize("path, value", [("process.channel.eta_h", 0.5),
                                              ("process.channel.eta_v", 0.25)])
     def test_formerly_dropped_field_round_trips(self, path, value):
         config = default_config()
@@ -268,6 +314,13 @@ class TestConfig:
          r"unknown key \[detection.chsh\] singles_rate_c_cps"),
         ("[chsh]", "[chsh_settings]", r"unknown section \[chsh_settings\]"),
         ("seed = 103", "seed = -1", "seed must be >= 0"),
+        ("dephase = 0.99065", "dephase = 1.4", r"\[conversion\] dephase must be in \[0, 1\]"),
+        ("dephase = 0.98529183", "dephase = 1.4", r"\[process\] dephase must be in \[0, 1\]"),
+        ("rate_cps = 20000.0", "rate_cps = 0.0", r"\[process\] process rate must be > 0"),
+        ("optical_loss = 0.16", "optical_loss = 1.0",
+         r"\[efficiency\] optical_loss must be in \[0, 1\)"),
+        ("det_eff_532 = 0.5", "det_eff_532 = 1.5",
+         r"\[detection.output\] det_eff_532 must be in \[0, 1\], got 1.5"),
     ])
     def test_strict_values_and_names(self, tmp_path, old, new, message):
         text = (DATA / "default.ini").read_text()

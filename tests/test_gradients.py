@@ -9,8 +9,7 @@ from entconv import tomography
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import expected_counts, simulate_counts, simulate_process_counts
 from entconv.states import projector, werner_state
-from entconv.tomography import (TomographyOptions, _minimize_one, _params_of_rho, mle_state,
-                                tomography_settings)
+from entconv.tomography import _minimize_one, _params_of_rho, mle_state, tomography_settings
 from test_mc_batch import batch_objective
 
 SETTINGS = tomography_settings()
@@ -29,8 +28,8 @@ def central_difference(fun, t, h):
     return grad
 
 
-def one_table(kind, records, option):
-    return batch_objective(kind, records, [[r.coincidences for r in records]], option)
+def one_table(kind, records):
+    return batch_objective(kind, records, [[r.coincidences for r in records]])
 
 
 def assert_gradient_matches(objective, t, h=1e-6):
@@ -53,21 +52,16 @@ def process_records(seed):
     return simulate_process_counts(channel, SETTINGS, 200.0, 10.0, seed=seed)
 
 
-@pytest.mark.parametrize("fit_normalization", [False, True])
-def test_state_gradient(fit_normalization):
+def test_state_gradient():
     rng = np.random.default_rng(31)
-    objective = one_table("state", state_records(1), fit_normalization)
+    objective = one_table("state", state_records(1))
     for _ in range(4):
-        t = rng.normal(size=17 if fit_normalization else 16)
-        if fit_normalization:
-            t[16] *= 0.2
-        assert_gradient_matches(objective, t)
+        assert_gradient_matches(objective, rng.normal(size=16))
 
 
-@pytest.mark.parametrize("tp_mode", ["constrain", "normalize"])
-def test_process_gradient(tp_mode):
+def test_process_gradient():
     rng = np.random.default_rng(32)
-    objective = one_table("process", process_records(2), tp_mode)
+    objective = one_table("process", process_records(2))
     for _ in range(4):
         assert_gradient_matches(objective, rng.normal(size=16))
 
@@ -88,12 +82,12 @@ def test_state_gradient_where_probability_is_clipped():
     rho = T.conj().T @ T
     p_vv = float(np.real(rho[3, 3] / np.trace(rho)))
     assert 0.0 < p_vv < 1e-12
-    assert_gradient_matches(one_table("state", records, False), t, h=1e-7)
+    assert_gradient_matches(one_table("state", records), t, h=1e-7)
 
 
 def test_fit_evaluates_objective_once_per_optimizer_call(monkeypatch):
     # history[0] comes from the optimizer's own evaluation at t0
-    objective = one_table("state", state_records(6), False)
+    objective = one_table("state", state_records(6))
     calls, results = [], []
     scipy_minimize = optimize.minimize
 
@@ -114,11 +108,6 @@ def test_fit_evaluates_objective_once_per_optimizer_call(monkeypatch):
     assert len(calls) == res.nfev
     assert history[0, 0] == objective.rows(t0, ROW)[0][0]
     assert len(history) == res.nit + 1
-
-
-def test_unknown_tp_mode_rejected():
-    with pytest.raises(ValueError):
-        TomographyOptions(tp_mode="project")
 
 
 def test_log_likelihood_is_raw_count_likelihood_of_estimate():

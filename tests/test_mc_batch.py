@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entconv.config import default_config
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
-from entconv.counts import (expected_counts, poisson_resamples, read_counts_csv,
+from entconv.counts import (CountRecord, expected_counts, poisson_resamples, read_counts_csv,
                             simulate_counts, simulate_process_counts)
 from entconv.pipeline import (_mc_seed, process_metrics_with_errors, run_simulate,
                               state_metrics_with_errors)
@@ -42,12 +43,12 @@ def with_counts(records, row):
     return [replace(r, coincidences=float(c)) for r, c in zip(records, row)]
 
 
-def batch_objective(kind, records, counts, option):
+def batch_objective(kind, records, counts):
     """The objective the fits of the (B, 36) ``counts`` minimize."""
     durations, raw = _batch_table(records, counts)
     if kind == "state":
-        return _state_problem(durations, raw, option)[0]
-    return _process_problem(durations, raw, option)[0]
+        return _state_problem(durations, raw)[0]
+    return _process_problem(durations, raw)[0]
 
 
 def clipped_state_params(rng):
@@ -57,30 +58,28 @@ def clipped_state_params(rng):
     return t
 
 
-CASES = [("state", False), ("state", True), ("process", "constrain"),
-         ("process", "normalize")]
+KINDS = ["state", "process"]
 
 
-@pytest.mark.parametrize("kind, option", CASES)
-def test_batched_gradient_matches_central_differences_row_by_row(kind, option):
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_gradient_matches_central_differences_row_by_row(kind):
     rng = np.random.default_rng(41)
     if kind == "state":
         records = expected_counts(werner_state(0.9), SETTINGS, SRC, DET, 10.0)
     else:
         records = process_records()
     counts = resamples(records, 4, seed=3)
-    objective = batch_objective(kind, records, counts, option)
-    n_par = 17 if option is True else 16
-    t = rng.normal(size=(4, n_par))
+    objective = batch_objective(kind, records, counts)
+    t = rng.normal(size=(4, 16))
     h = np.full(4, 1e-6)
     if kind == "state":
-        t[1, :16] = clipped_state_params(rng)
+        t[1] = clipped_state_params(rng)
         h[1] = 1e-7
         assert counts[1, SETTINGS.index(("V", "V"))] > 0
     rows = np.arange(4)
     _, grad = objective.rows(t, rows)
     fd = np.empty_like(t)
-    for i in range(n_par):
+    for i in range(16):
         e = np.zeros_like(t)
         e[:, i] = h
         fd[:, i] = (objective.rows(t + e, rows)[0] - objective.rows(t - e, rows)[0]) / (2 * h)
@@ -88,11 +87,11 @@ def test_batched_gradient_matches_central_differences_row_by_row(kind, option):
         assert np.linalg.norm(grad[b] - fd[b]) <= REL_TOL * np.linalg.norm(fd[b])
 
 
-@pytest.mark.parametrize("kind, option", CASES)
-def test_perturbing_one_row_moves_only_that_row(kind, option):
+@pytest.mark.parametrize("kind", KINDS)
+def test_perturbing_one_row_moves_only_that_row(kind):
     records = state_records() if kind == "state" else process_records()
-    objective = batch_objective(kind, records, resamples(records, 5, seed=4), option)
-    t = np.random.default_rng(42).normal(size=(5, 17 if option is True else 16))
+    objective = batch_objective(kind, records, resamples(records, 5, seed=4))
+    t = np.random.default_rng(42).normal(size=(5, 16))
     rows = np.arange(5)
     nll, grad = objective.rows(t, rows)
     moved = t.copy()
@@ -104,16 +103,16 @@ def test_perturbing_one_row_moves_only_that_row(kind, option):
     assert nll2[2] != nll[2]
 
 
-@pytest.mark.parametrize("kind, option", CASES)
-def test_batched_rows_equal_scalar_objectives(kind, option):
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_rows_equal_scalar_objectives(kind):
     records = state_records() if kind == "state" else process_records()
     counts = resamples(records, 3, seed=5)
-    objective = batch_objective(kind, records, counts, option)
-    t = np.random.default_rng(43).normal(size=(3, 17 if option is True else 16))
+    objective = batch_objective(kind, records, counts)
+    t = np.random.default_rng(43).normal(size=(3, 16))
     nll, grad = objective.rows(t, np.arange(3))
     for b in range(3):
         # the objective of a point fit of table b alone
-        one = batch_objective(kind, records, counts[b:b + 1], option)
+        one = batch_objective(kind, records, counts[b:b + 1])
         (value,), (g,) = one.rows(t[b:b + 1], slice(0, 1))
         assert value == pytest.approx(nll[b], rel=1e-13)
         np.testing.assert_allclose(g, grad[b], rtol=1e-10, atol=1e-12 * np.abs(g).max())
@@ -121,15 +120,13 @@ def test_batched_rows_equal_scalar_objectives(kind, option):
 
 def test_one_table_batch_is_the_point_fit():
     # both run the one-table optimizer; several tables run minimize_rows
-    for kind, option in CASES:
+    for kind in KINDS:
         if kind == "state":
-            records, opts = state_records(), TomographyOptions(fit_normalization=option)
-            point, batch = mle_state, mle_state_batch
+            records, point, batch = state_records(), mle_state, mle_state_batch
         else:
-            records, opts = process_records(), TomographyOptions(tp_mode=option)
-            point, batch = mle_process, mle_process_batch
-        result = point(records, opts)
-        fit = batch(records, [[r.coincidences for r in records]], opts)
+            records, point, batch = process_records(), mle_process, mle_process_batch
+        result = point(records)
+        fit = batch(records, [[r.coincidences for r in records]])
         assert np.array_equal(fit.estimates[0], result.estimate)
         assert np.array_equal(fit.history[:, 0], result.history)
         assert fit.log_likelihood[0] == result.log_likelihood
@@ -186,6 +183,51 @@ def test_batched_histories_are_monotone_and_end_at_the_fit():
     steps = np.diff(fit.history, axis=0)
     assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(fit.history[:-1])))
     assert np.array_equal(fit.history[-1], fit.log_likelihood)
+
+
+#: kinds of rows in a random count table
+ROW_KINDS = ("counts", "zeroed_group", "dark_label", "empty")
+
+
+@st.composite
+def count_tables(draw):
+    """Canonical records with random durations and (B >= 2, 36) random counts
+    whose rows are drawn from ROW_KINDS: random counts, random counts with one
+    basis-pair group zeroed, with one first label's six settings zeroed, or
+    no counts at all."""
+    durations = draw(st.lists(st.sampled_from([0.5, 1.0, 10.0]), min_size=36, max_size=36))
+    records = [CountRecord(a, b, d, 0.0, 0, 0) for (a, b), d in zip(SETTINGS, durations)]
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=2, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    group = 3 * (np.arange(36) // 12) + np.arange(36) % 6 // 2
+    counts = rng.poisson(rng.uniform(0.0, 10.0 ** rng.uniform(0, 4), (len(kinds), 36))) * 1.0
+    for row, kind in zip(counts, kinds):
+        if kind == "zeroed_group":
+            row[group == rng.integers(9)] = 0.0
+        elif kind == "dark_label":
+            start = 6 * rng.integers(6)
+            row[start:start + 6] = 0.0
+        elif kind == "empty":
+            row[:] = 0.0
+    return records, counts
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(table=count_tables())
+def test_every_fitted_row_is_physical(kind, table):
+    records, counts = table
+    batch = mle_state_batch if kind == "state" else mle_process_batch
+    fit = batch(records, counts)
+    assert sorted(fit.errors) == np.flatnonzero(fit.failed).tolist()
+    assert fit.failed[counts.sum(axis=1) == 0].all()
+    assert np.isnan(fit.estimates[fit.failed]).all()
+    for estimate in fit.estimates[~fit.failed]:
+        np.testing.assert_allclose(estimate, estimate.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(estimate).min() >= -1e-10
+        assert abs(np.trace(estimate) - 1.0) < 1e-10
+        if kind == "process":
+            check_chi_matrix(estimate, require_tp=True)
 
 
 def test_iteration_limit_marks_rows_unconverged():

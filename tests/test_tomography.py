@@ -180,13 +180,6 @@ class TestMleState:
         assert trace_distance(mle_state(recs, TIGHT).estimate,
                               mle_state(fast, TIGHT).estimate) < 1e-8
 
-    def test_fit_normalization_option(self):
-        rho = werner_state(0.9)
-        recs = simulate_counts(rho, SETTINGS, SRC, DET, 10.0, seed=9)
-        opts = TomographyOptions(rel_tol=1e-14, fit_normalization=True)
-        est = mle_state(recs, opts).estimate
-        assert trace_distance(est, rho) < 0.05
-
     def test_all_zero_counts_rejected(self):
         recs = [CountRecord(a, b, 1.0, 0.0, 0, 0) for a, b in SETTINGS]
         with pytest.raises(ReconstructionError, match="zero"):
@@ -255,14 +248,6 @@ class TestMleProcess:
                                        rate=1e4, duration=10.0, seed=31)
         chi = mle_process(recs).estimate
         check_chi_matrix(chi, require_tp=True)
-
-    def test_normalize_mode(self):
-        recs = expected_process_counts(lambda r: r, tomography_settings(),
-                                       rate=1e4, duration=1.0)
-        opts = TomographyOptions(rel_tol=1e-14, tp_mode="normalize")
-        chi = mle_process(recs, opts).estimate
-        assert chi[0, 0].real > 1 - 1e-5
-        assert np.trace(chi).real == pytest.approx(1.0, abs=1e-9)
 
     def test_lossy_balanced_channel_normalizes_out(self):
         # a trace non-increasing channel with a uniform loss reconstructs to
