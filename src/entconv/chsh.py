@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountRecord, parse_setting, poisson_resamples
+from .counts import CountDataError, CountRecord, parse_setting, poisson_resamples
 from .states import SIGMA_X, SIGMA_Z, check_density_matrix
 
 
@@ -123,7 +123,7 @@ def correlation_from_counts(records: list[CountRecord],
     counts = np.array([r.coincidences for r in records], dtype=float)
     total = counts.sum()
     if total <= 0:
-        raise ValueError("zero total counts in correlation group")
+        raise CountDataError("zero total counts in correlation group")
     e = float(np.dot(signs, counts) / total)
     var = float(np.sum(counts * (signs - e) ** 2) / total ** 2)
     return e, np.sqrt(max(var, 0.0))
@@ -191,7 +191,7 @@ def chsh_sigma_resampled(settings: ChshSettings, records: list[CountRecord],
     counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)[:, groups]
     total = counts.sum(axis=2)
     if np.any(total <= 0):
-        raise ValueError("zero total counts in correlation group")
+        raise CountDataError("zero total counts in correlation group")
     e = np.einsum("bkr,kr->bk", counts, signs) / total
     s_values = e[:, 0] - e[:, 1] + e[:, 2] + e[:, 3]
     return float(np.std(s_values, ddof=1))

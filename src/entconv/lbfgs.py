@@ -5,8 +5,9 @@
 once: the same direction (L-BFGS with H0 = (s'y / y'y) I), first step
 (length 1 along -g), More-Thuente line search (MINPACK-2 dcsrch with
 ftol 1e-3, gtol 0.9, xtol 0.1, at most 20 evaluations), restart on a failed
-search, memory-update skip rule and stopping rules. Rows never interact; each
-evaluation round calls the objective once on the rows still searching.
+search, memory-update skip rule and stopping rules. Rows never interact, to
+the bit: each evaluation round calls the objective once on the rows still
+searching, a lone row as a pair (BLAS rounds a one-row product differently).
 """
 from __future__ import annotations
 
@@ -157,15 +158,21 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
     decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``rel_tol``; it stops
     unconverged after ``max_iters`` iterations, or when a line search fails
     without L-BFGS memory to clear and retry along -g. Returns the final
-    parameters, the converged flags and the objective of every row per
-    iteration, shape (iterations + 1, B); stopped and unfitted rows repeat
-    their last value.
+    parameters, the converged flags, the objective of every row per batch
+    iteration, shape (iterations + 1, B), where stopped and unfitted rows
+    repeat their last value, and each row's own iteration count.
     """
+    def evaluate(x, idx):
+        if len(idx) == 1:  # see the module docstring
+            f, g = fun(np.repeat(x, 2, axis=0), np.repeat(idx, 2))
+            return f[:1], g[:1]
+        return fun(x, idx)
+
     x = x0.copy()
     n_rows, n_par = x.shape
     f, g = np.zeros(n_rows), np.zeros_like(x)
     rows = np.flatnonzero(fit)
-    f[rows], g[rows] = fun(x[rows], rows)
+    f[rows], g[rows] = evaluate(x[rows], rows)
     converged = fit & (np.max(np.abs(g), axis=1) <= pgtol)
     active = fit & ~converged
     s_mem, y_mem = np.zeros((2, n_rows, maxcor, n_par))
@@ -176,7 +183,7 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
     def search(r):
         d = -_two_loop(g[r], s_mem[r], y_mem[r], rho_mem[r])
         stp = np.where(nit[r] == 0, 1.0 / np.linalg.norm(d, axis=1), 1.0)
-        return _line_search(fun, r, x[r], f[r], g[r], d, stp)
+        return _line_search(evaluate, r, x[r], f[r], g[r], d, stp)
 
     while active.any():
         rows = np.flatnonzero(active)
@@ -204,4 +211,4 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
         converged[rows] = done & ~out_of_iters
         active[rows] = ~done & ~out_of_iters
         history.append(f.copy())
-    return x, converged, np.array(history)
+    return x, converged, np.array(history), nit

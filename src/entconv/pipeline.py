@@ -1,10 +1,14 @@
 """End-to-end orchestration: simulate, reconstruct, analyze, summarize.
 
+Every ML reconstruction runs through ``fit_stages``, which fits a stage's
+point table and resamples in one batch (a report's four state stages share it).
+
 All artifacts are flat text (CSV count tables, key=value reports with
 matrix blocks) and are byte-reproducible for a fixed configuration and seed.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +17,13 @@ from .chsh import ChshResult, chsh_s, chsh_sigma_resampled
 from .config import ExperimentConfig
 from .conversion import convert, convert_qubit, efficiency_budget, focusing_factor, source_state
 from .counts import (CountRecord, expected_counts, expected_process_counts,
-                     read_counts_csv, simulate_counts, simulate_process_counts,
-                     stage_seed, write_counts_csv)
+                     poisson_resamples, read_counts_csv, simulate_counts,
+                     simulate_process_counts, stage_seed, write_counts_csv)
 from .reference import REFERENCE_VALUES
 from .reports import emit_keyvalues, emit_report
-from .states import MetricReport, bell_state, fidelity, purity, tangle, werner_state
-from .tomography import (MonteCarloErrors, TomographyOptions, TomographyResult,
-                         identity_chi, mle_process, mle_process_batch, mle_state,
-                         mle_state_batch, monte_carlo_errors, process_fidelity,
-                         process_purity, subtract_accidentals, tomography_settings)
+from .states import werner_state
+from .tomography import (METRICS, MonteCarloErrors, TomographyOptions, TomographyResult,
+                         mle_tables, monte_carlo_errors, point_result, tomography_settings)
 
 COUNT_FILES = {
     "state_input": "counts_state_input.csv",
@@ -82,40 +84,47 @@ def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path
     return paths
 
 
+def fit_stages(kind: str, stages: dict[str, tuple[list[CountRecord], bool, int]],
+               options: TomographyOptions,
+               mc_samples: int) -> dict[str, tuple[TomographyResult, MonteCarloErrors]]:
+    """ML reconstructions with Monte-Carlo std-errors of the stages of one fit
+    kind ("state" or "process"), all fitted in one ``mle_tables`` batch.
+
+    ``stages`` maps a label to (records, subtract, seed). A stage's row 0,
+    its observed table, gives the ``point_result``; rows 1..``mc_samples``,
+    Poisson resamples from ``seed``, give the ``monte_carlo_errors``; the two
+    are separate tables, so each starts where a fit of it alone would. With
+    ``subtract`` every row loses the accidental estimates, clamped at zero."""
+    tables = []
+    for records, subtract, seed in stages.values():
+        observed = np.array([r.coincidences for r in records])
+        accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
+        tables += [(records, [observed - accidentals]),
+                   (records, poisson_resamples(observed, mc_samples, seed) - accidentals)]
+    fits = mle_tables(kind, tables, options)
+    out = {}
+    for label, point, resampled in zip(stages, fits[::2], fits[1::2]):
+        result = point_result(point, kind)
+        mc = monte_carlo_errors(resampled, METRICS[kind], label)
+        result.metrics = replace(result.metrics, **{f"{name}_err": err
+                                                    for name, err in mc.std_errors.items()})
+        out[label] = result, mc
+    return out
+
+
 def state_metrics_with_errors(records: list[CountRecord], options: TomographyOptions,
-                              subtract: bool, mc_samples: int,
-                              seed: int) -> tuple[TomographyResult, MonteCarloErrors]:
-    """MLE reconstruction plus Monte-Carlo std-errors on F, P and T."""
-    prepared = subtract_accidentals(records) if subtract else records
-    result = mle_state(prepared, options)
-    accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
-    mc = monte_carlo_errors(records,
-                            lambda counts: mle_state_batch(records, counts - accidentals,
-                                                           options),
-                            {"fidelity": lambda m: fidelity(m, bell_state("phi+")),
-                             "purity": purity, "tangle": tangle},
-                            mc_samples, seed)
-    result.metrics = MetricReport(
-        fidelity=result.metrics.fidelity, purity=result.metrics.purity,
-        tangle=result.metrics.tangle, fidelity_err=mc.std_errors["fidelity"],
-        purity_err=mc.std_errors["purity"], tangle_err=mc.std_errors["tangle"])
-    return result, mc
+                              subtract: bool, mc_samples: int, seed: int,
+                              label: str = "state") -> tuple[TomographyResult, MonteCarloErrors]:
+    """``fit_stages`` of one state stage: F, P and T with their std-errors."""
+    return fit_stages("state", {label: (records, subtract, seed)}, options, mc_samples)[label]
 
 
 def process_metrics_with_errors(records: list[CountRecord], options: TomographyOptions,
                                 mc_samples: int,
                                 seed: int) -> tuple[TomographyResult, MonteCarloErrors]:
-    """Process reconstruction plus Monte-Carlo std-errors on F and P."""
-    result = mle_process(records, options)
-    mc = monte_carlo_errors(records,
-                            lambda counts: mle_process_batch(records, counts, options),
-                            {"fidelity": lambda m: process_fidelity(m, identity_chi()),
-                             "purity": process_purity},
-                            mc_samples, seed)
-    result.metrics = MetricReport(
-        fidelity=result.metrics.fidelity, purity=result.metrics.purity, tangle=None,
-        fidelity_err=mc.std_errors["fidelity"], purity_err=mc.std_errors["purity"])
-    return result, mc
+    """``fit_stages`` of the process stage: F and P with their std-errors."""
+    return fit_stages("process", {"process": (records, False, seed)}, options,
+                      mc_samples)["process"]
 
 
 def _state_report(result: TomographyResult, label: str) -> str:
@@ -140,7 +149,7 @@ def run_reconstruct_state(config: ExperimentConfig, outdir: str | Path,
     outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
     result, _ = state_metrics_with_errors(records, config.tomography, subtract,
-                                          config.mc_samples, _mc_seed(config, 0))
+                                          config.mc_samples, _mc_seed(config, 0), label)
     (outdir / f"state_{label}.txt").write_text(_state_report(result, label))
     return result
 
@@ -210,19 +219,17 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
     """
     outdir = Path(outdir)
     paths = run_simulate(config, outdir)
-    opts = config.tomography
-    n = config.mc_samples
-
-    in_records = read_counts_csv(paths["state_input"])
-    out_records = read_counts_csv(paths["state_output"])
-    in_raw, _ = state_metrics_with_errors(in_records, opts, False, n, _mc_seed(config, 3))
-    in_cor, _ = state_metrics_with_errors(in_records, opts, True, n, _mc_seed(config, 4))
-    out_raw, _ = state_metrics_with_errors(out_records, opts, False, n, _mc_seed(config, 5))
-    out_cor, _ = state_metrics_with_errors(out_records, opts, True, n, _mc_seed(config, 6))
-    (outdir / "state_input_raw.txt").write_text(_state_report(in_raw, "input_raw"))
-    (outdir / "state_input.txt").write_text(_state_report(in_cor, "input_corrected"))
-    (outdir / "state_output_raw.txt").write_text(_state_report(out_raw, "output_raw"))
-    (outdir / "state_output.txt").write_text(_state_report(out_cor, "output_corrected"))
+    ins, outs = (read_counts_csv(paths[table]) for table in ("state_input", "state_output"))
+    stages = {"input_raw": (ins, False, 3, "state_input_raw.txt"),
+              "input_corrected": (ins, True, 4, "state_input.txt"),
+              "output_raw": (outs, False, 5, "state_output_raw.txt"),
+              "output_corrected": (outs, True, 6, "state_output.txt")}
+    fits = fit_stages("state", {label: (records, subtract, _mc_seed(config, index))
+                                for label, (records, subtract, index, _) in stages.items()},
+                      config.tomography, config.mc_samples)
+    for label, (*_, name) in stages.items():
+        (outdir / name).write_text(_state_report(fits[label][0], label))
+    in_raw, in_cor, out_raw, out_cor = (result for result, _ in fits.values())
 
     proc = run_reconstruct_process(config, outdir, paths["process"])
     bell = run_chsh(config, outdir, paths["chsh"])
@@ -244,9 +251,8 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
         "intrinsic_pair_conversion": budget["pair_conversion_intrinsic"],
         "theory_single_crystal_efficiency": budget["theory_single_crystal"],
     }
-    fits = {"input_raw": in_raw, "input_corrected": in_cor, "output_raw": out_raw,
-            "output_corrected": out_cor, "process": proc}
-    unconverged = [label for label, fit in fits.items() if not fit.converged]
+    results = {label: result for label, (result, _) in fits.items()} | {"process": proc}
+    unconverged = [label for label, result in results.items() if not result.converged]
     items: dict[str, object] = {"all_reconstructions_converged": not unconverged}
     for key in _SUMMARY_KEYS:
         items[key] = values[key]

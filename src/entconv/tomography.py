@@ -15,13 +15,12 @@ retraction by the chain rule, with the derivative of G^{-1/2} taken from its
 eigendecomposition (Daleckii-Krein divided differences).
 
 Both objectives take a leading batch axis: one row per count table, rows
-independent. Each fit kind has one fit, ``mle_state_batch`` or
-``mle_process_batch``; a point fit (``mle_state``, ``mle_process``) is its
-one-table case. The row minimizer is chosen by table count, each being the
-faster on its side: one table is fitted by scipy's L-BFGS-B, several (the
-Monte-Carlo resamples of a stage) at once by ``lbfgs.minimize_rows``, the
-same iteration vectorised over rows; the scipy fit is the reference it is
-tested against.
+independent. ``mle_tables`` fits the rows of several tables of a kind in one
+batch; ``mle_state_batch``/``mle_process_batch`` are its one-table case and
+``mle_state``/``mle_process`` their one-row case. One row is fitted by
+scipy's L-BFGS-B, several (a report's point tables and resamples) at once by
+``lbfgs.minimize_rows``, the same iteration vectorised over rows, each the
+faster on its side; the scipy fit is the reference it is tested against.
 
 Records are always fitted in canonical setting order, so the projector
 stacks and the linear-inversion design matrix are built once, at import.
@@ -35,7 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy import optimize
 
-from .counts import CountRecord, poisson_resamples
+from .counts import CountRecord
 from .lbfgs import minimize_rows
 from .states import (MetricReport, PAULIS, PROJECTOR_LABELS, bell_state, fidelity,
                      projector, purity, tangle)
@@ -180,11 +179,12 @@ class TomographyResult:
 
 @dataclass
 class BatchFit:
-    """Fits of B count tables that share their settings and durations, row b
-    for table b. ``failed`` rows hold NaN and ``errors`` maps each to its
-    reason (nothing to normalize, or a falling likelihood); a fit that
-    stopped on ``max_iters`` or a failed line search is not ``converged``.
-    ``history`` is the raw-count log-likelihood per batch iteration."""
+    """Fits of B count tables with the same settings, row b for table b.
+    ``failed`` rows hold NaN and ``errors`` maps each to its reason (nothing
+    to normalize, or a falling likelihood); a fit that stopped on
+    ``max_iters`` or a failed line search is not ``converged``. ``history``
+    is the raw-count log-likelihood per batch iteration, and row b's own
+    iterates are its first ``iterations[b] + 1`` entries."""
 
     estimates: np.ndarray
     log_likelihood: np.ndarray
@@ -192,6 +192,14 @@ class BatchFit:
     failed: np.ndarray
     errors: dict[int, str]
     history: np.ndarray = field(repr=False)
+    iterations: np.ndarray = field(repr=False)
+
+    def rows(self, start: int, stop: int) -> BatchFit:
+        """Rows ``start`` to ``stop - 1`` as a fit of their own."""
+        sl = slice(start, stop)
+        errors = {b - start: e for b, e in self.errors.items() if start <= b < stop}
+        return BatchFit(self.estimates[sl], self.log_likelihood[sl], self.converged[sl],
+                        self.failed[sl], errors, self.history[:, sl], self.iterations[sl])
 
 
 def _drops(history: np.ndarray) -> np.ndarray:
@@ -369,7 +377,7 @@ def _minimize_one(fun, x0, fit, pgtol, rel_tol, max_iters, maxcor):
     """``minimize_rows`` of a one-row batch by scipy's L-BFGS-B, which is the
     faster on a single fit; the history holds the objective per iterate."""
     if not fit[0]:
-        return x0, np.zeros(1, dtype=bool), np.zeros((1, 1))
+        return x0, np.zeros(1, dtype=bool), np.zeros((1, 1)), np.zeros(1, dtype=int)
     history = []
     row = slice(0, 1)  # a view: no copy of the counts per evaluation
 
@@ -388,21 +396,22 @@ def _minimize_one(fun, x0, fit, pgtol, rel_tol, max_iters, maxcor):
     res = optimize.minimize(
         value_and_grad, x0[0], jac=True, method="L-BFGS-B", callback=record_step,
         options={"maxiter": max_iters, "ftol": rel_tol, "gtol": pgtol[0], "maxcor": maxcor})
-    return res.x[None], np.array([res.success]), np.array(history)[:, None]
+    return (res.x[None], np.array([res.success]), np.array(history)[:, None],
+            np.array([len(history) - 1]))
 
 
 def _fit_batch(objective: Objective, t0: np.ndarray, errors: dict[int, str],
                options: TomographyOptions | None, lbfgs: tuple[float, int],
                estimate: Callable[[np.ndarray], np.ndarray]) -> BatchFit:
     """Minimize every fit of ``objective`` without an entry in ``errors``; a
-    fit whose likelihood history falls fails too. One table is fitted by
+    fit whose likelihood history falls fails too. One row is fitted by
     ``_minimize_one``, several at once by ``lbfgs.minimize_rows``."""
     opts = options or TomographyOptions()
     gtol, maxcor = lbfgs
     failed = np.isin(np.arange(len(t0)), list(errors))
     minimize = _minimize_one if len(t0) == 1 else minimize_rows
-    x, converged, history = minimize(objective.rows, t0, ~failed, objective.pgtol(gtol),
-                                     opts.rel_tol, opts.max_iters, maxcor)
+    x, converged, history, nit = minimize(objective.rows, t0, ~failed, objective.pgtol(gtol),
+                                          opts.rel_tol, opts.max_iters, maxcor)
     loglik = objective.loglik(history, slice(None))
     drops = _drops(loglik)
     for b in np.flatnonzero(drops.any(axis=0)).tolist():
@@ -413,18 +422,18 @@ def _fit_batch(objective: Objective, t0: np.ndarray, errors: dict[int, str],
     estimates[failed] = np.nan
     loglik[:, failed] = np.nan
     return BatchFit(estimates=estimates, log_likelihood=loglik[-1], converged=converged & ~failed,
-                    failed=failed, errors=errors, history=loglik)
+                    failed=failed, errors=errors, history=loglik, iterations=nit)
 
 
-def _point_fit(fit: BatchFit, kind: str,
-               metrics: Callable[[np.ndarray], MetricReport]) -> TomographyResult:
-    """Row 0 of a one-table ``fit``; raises ``ReconstructionError`` if it failed."""
+def point_result(fit: BatchFit, kind: str) -> TomographyResult:
+    """Row 0 of a ``kind`` fit, with its ``METRICS``; raises
+    ``ReconstructionError`` if it failed."""
     if fit.failed[0]:
         raise ReconstructionError(fit.errors[0])
-    estimate, history = fit.estimates[0], list(fit.history[:, 0])
-    return TomographyResult(estimate=estimate, log_likelihood=history[-1],
-                            iterations=len(history) - 1, converged=bool(fit.converged[0]),
-                            metrics=metrics(estimate), kind=kind, history=history)
+    estimate, nit = fit.estimates[0], int(fit.iterations[0])
+    metrics = MetricReport(**{name: fn(estimate) for name, fn in METRICS[kind].items()})
+    return TomographyResult(estimate, fit.log_likelihood[0], nit, bool(fit.converged[0]),
+                            metrics, kind, list(fit.history[:nit + 1, 0]))
 
 
 def _batch_table(records: list[CountRecord], counts) -> tuple[np.ndarray, np.ndarray]:
@@ -458,15 +467,16 @@ def _params_of_rho(rho: np.ndarray) -> np.ndarray:
 def _inversion(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``linear_inversion_state`` of (B, 36) canonical rates, and per row the
     first setting whose basis group has no counts (-1 if none; otherwise the
-    row's state is meaningless)."""
+    row's state is the mixed state, where a fit can start)."""
     group_tot = _group_sums(rates)[:, _GROUP]
     empty = group_tot <= 0.0
     first_empty = np.where(empty.any(axis=1), np.argmax(empty, axis=1), -1)
     p = rates / np.where(empty, 1.0, group_tot)
     x = np.linalg.lstsq(_DESIGN, p.T, rcond=None)[0].T
     rho = (x @ _HERM_BASIS.reshape(16, 16)).reshape(-1, 4, 4)
-    trace = np.real(np.trace(rho, axis1=1, axis2=2))
-    return rho / np.where(first_empty < 0, trace, 1.0)[:, None, None], first_empty
+    rho /= np.where(first_empty < 0, np.real(np.trace(rho, axis1=1, axis2=2)), 1.0)[:, None, None]
+    rho[first_empty >= 0] = np.eye(4) / 4.0
+    return rho, first_empty
 
 
 def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
@@ -495,8 +505,7 @@ def mle_state(records: list[CountRecord],
     silently; a table that cannot be fitted raises ``ReconstructionError``.
     """
     fit = mle_state_batch(records, [[r.coincidences for r in records]], options)
-    return _point_fit(fit, "state", lambda rho: MetricReport(
-        fidelity=fidelity(rho, bell_state("phi+")), purity=purity(rho), tangle=tangle(rho)))
+    return point_result(fit, "state")
 
 
 def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
@@ -511,12 +520,7 @@ def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
     the linear inversion of its table, or from the mixed state where a basis
     group has no counts. A row without counts fails.
     """
-    durations, raw = _batch_table(records, counts)
-    objective, errors = _state_problem(durations, raw)
-    rho0, first_empty = _inversion(raw / durations)
-    rho0[first_empty >= 0] = np.eye(4) / 4.0
-    return _fit_batch(objective, _params_of_rho(rho0), errors, options, _STATE_LBFGS,
-                      _rho_of_params)
+    return mle_tables("state", [(records, counts)], options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +616,8 @@ def mle_process(records: list[CountRecord],
     """Maximum-likelihood single-qubit process reconstruction:
     ``mle_process_batch`` of the records' own coincidences, with the
     fidelity to the identity channel. Failures as in ``mle_state``."""
-    fit = mle_process_batch(records, [[r.coincidences for r in records]], options)
-    return _point_fit(fit, "process", lambda chi: MetricReport(
-        fidelity=process_fidelity(chi, identity_chi()), purity=process_purity(chi), tangle=None))
+    return point_result(
+        mle_process_batch(records, [[r.coincidences for r in records]], options), "process")
 
 
 def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
@@ -631,10 +634,30 @@ def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
     the retraction. A row without counts, or with an input state without
     counts, fails.
     """
-    durations, raw = _batch_table(records, counts)
-    objective, errors = _process_problem(durations, raw)
-    return _fit_batch(objective, np.tile(_PROCESS_START, (len(raw), 1)), errors, options,
-                      _PROCESS_LBFGS, _chi_of_params)
+    return mle_tables("process", [(records, counts)], options)[0]
+
+
+def mle_tables(kind: str, tables: list[tuple[list[CountRecord], np.ndarray]],
+               options: TomographyOptions | None = None) -> list[BatchFit]:
+    """The ``mle_state_batch`` (``kind`` "state") or ``mle_process_batch``
+    ("process") fits of several (records, counts) tables, which may differ in
+    durations and setting order, all rows in one batch, split back per table.
+    A row's fit does not depend on the rows around it, but the least-squares
+    inversion rounds a row differently next to other right-hand sides, so
+    each table's state starts are solved from that table alone."""
+    parts = [_batch_table(records, counts) for records, counts in tables]
+    durations = np.concatenate([np.broadcast_to(d, raw.shape) for d, raw in parts])
+    raw = np.concatenate([raw for _, raw in parts])
+    if kind == "state":
+        objective, errors = _state_problem(durations, raw)
+        t0 = np.concatenate([_params_of_rho(_inversion(r / d)[0]) for d, r in parts])
+        fit = _fit_batch(objective, t0, errors, options, _STATE_LBFGS, _rho_of_params)
+    else:
+        objective, errors = _process_problem(durations, raw)
+        fit = _fit_batch(objective, np.tile(_PROCESS_START, (len(raw), 1)), errors, options,
+                         _PROCESS_LBFGS, _chi_of_params)
+    ends = np.cumsum([len(r) for _, r in parts]).tolist()
+    return [fit.rows(end - len(r), end) for end, (_, r) in zip(ends, parts)]
 
 
 def process_fidelity(chi: np.ndarray, ideal: np.ndarray) -> float:
@@ -657,6 +680,16 @@ def _clip01(x):
 # Monte-Carlo error bars
 # ---------------------------------------------------------------------------
 
+#: The reported metrics of each fit kind: name -> function of one estimate,
+#: or of a stack of estimates with one value each.
+METRICS = {
+    "state": {"fidelity": lambda m: fidelity(m, bell_state("phi+")), "purity": purity,
+              "tangle": tangle},
+    "process": {"fidelity": lambda m: process_fidelity(m, identity_chi()),
+                "purity": process_purity},
+}
+
+
 @dataclass
 class MonteCarloErrors:
     """Per-metric sample means and standard deviations over MC resamples.
@@ -673,27 +706,21 @@ class MonteCarloErrors:
     n_unconverged: int
 
 
-def monte_carlo_errors(records: list[CountRecord],
-                       reconstructor: Callable[[np.ndarray], BatchFit],
-                       metrics: dict[str, Callable[[np.ndarray], float]],
-                       n_samples: int, seed: int) -> MonteCarloErrors:
-    """Poissonian resampling error bars for reconstruction-derived metrics.
+def monte_carlo_errors(fit: BatchFit, metrics: dict[str, Callable[[np.ndarray], float]],
+                       stage: str) -> MonteCarloErrors:
+    """Error bars of a ``stage`` from ``fit``, the fits of its Poisson
+    resamples (``counts.poisson_resamples``).
 
-    ``poisson_resamples`` redraws every coincidence count from a Poisson law
-    with mean equal to the observed count, ``n_samples`` times.
-    ``reconstructor`` fits all resamples at once: it takes the
-    (n_samples, len(records)) counts, in the order of ``records``, and
-    returns a ``BatchFit`` (see ``mle_state_batch``, ``mle_process_batch``).
     Each metric is called once with the (n_kept, d, d) stack of kept
     estimates and returns one value per estimate. Failed resamples are
-    tolerated up to 10% of the samples; beyond that the run aborts.
+    tolerated up to 10% of the samples; beyond that a ``ReconstructionError``
+    naming the stage aborts the run.
     """
-    counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)
-    fit = reconstructor(counts)
+    n_samples = len(fit.failed)
     n_failed = int(np.count_nonzero(fit.failed))
     if n_failed > 0.1 * n_samples:
         raise ReconstructionError(
-            f"{n_failed}/{n_samples} Monte-Carlo resamples failed to reconstruct")
+            f"{stage}: {n_failed}/{n_samples} Monte-Carlo resamples failed to reconstruct")
     kept = fit.estimates[~fit.failed]
     values = {name: np.asarray(fn(kept), dtype=float) for name, fn in metrics.items()}
     means = {name: float(np.mean(v)) for name, v in values.items()}

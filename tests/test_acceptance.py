@@ -12,8 +12,8 @@ from entconv.config import default_config
 from entconv.conversion import (BudgetInputs, ConversionParams, convert, convert_qubit,
                                 efficiency_budget, focusing_factor,
                                 p_max_from_efficiency, sfg_efficiency, source_state)
-from entconv.counts import (expected_counts, expected_process_counts, simulate_counts,
-                            simulate_process_counts, stage_seed)
+from entconv.counts import (expected_counts, expected_process_counts, poisson_resamples,
+                            simulate_counts, simulate_process_counts, stage_seed)
 from entconv.pipeline import run_report, run_simulate
 from entconv.states import (bell_state, fidelity, ket2dm, purity, tangle,
                             trace_distance, werner_state)
@@ -123,11 +123,11 @@ def test_criterion_4_state_metric_reproduction():
 
     target = bell_state("phi+")
     accidentals = np.array([r.accidental_estimate for r in records])
+    counts = poisson_resamples([r.coincidences for r in records], 100, seed=404)
     mc = monte_carlo_errors(
-        records,
-        lambda counts: mle_state_batch(records, counts - accidentals, config.tomography),
+        mle_state_batch(records, counts - accidentals, config.tomography),
         {"fidelity": lambda m: fidelity(m, target), "purity": purity, "tangle": tangle},
-        n_samples=100, seed=404)
+        "output_corrected")
     elapsed = time.perf_counter() - t0
 
     m = corrected.metrics
@@ -163,10 +163,11 @@ def test_criterion_5_process_tomography():
                                       stage_seed(config.seed, "process"))
     result = mle_process(records, config.tomography)
     ideal = identity_chi()
+    counts = poisson_resamples([r.coincidences for r in records], 40, seed=505)
     mc = monte_carlo_errors(
-        records, lambda counts: mle_process_batch(records, counts, config.tomography),
+        mle_process_batch(records, counts, config.tomography),
         {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity},
-        n_samples=40, seed=505)
+        "process")
     elapsed = time.perf_counter() - t0
 
     dev_f = abs(result.metrics.fidelity - 0.9923)

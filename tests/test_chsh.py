@@ -6,7 +6,7 @@ from entconv.chsh import (ChshResult, ChshSettings, analyzer_observable, chsh_s,
                           chsh_sigma_resampled, correlation_from_counts,
                           correlation_from_state)
 from entconv.conversion import DetectionModel, SourceModel
-from entconv.counts import CountRecord, expected_counts, simulate_counts
+from entconv.counts import CountDataError, CountRecord, expected_counts, simulate_counts
 from entconv.states import SIGMA_X, SIGMA_Z, bell_state, ket2dm, werner_state
 
 PHI_P = ket2dm(bell_state("phi+"))
@@ -73,7 +73,7 @@ class TestCorrelationFromCounts:
         assert sigma > 0
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ValueError, match="zero total"):
+        with pytest.raises(CountDataError, match="zero total"):
             correlation_from_counts(make_group([0, 0, 0, 0]))
 
     def test_wrong_group_size(self):

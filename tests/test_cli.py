@@ -203,3 +203,16 @@ def test_simulated_counts_respect_singles_bound(tmp_path, config_path):
     for name in COUNT_FILES.values():
         for rec in read_counts_csv(out / name):
             assert rec.coincidences <= min(rec.singles_a, rec.singles_b)
+
+
+def test_chsh_group_without_counts_exits_5(tmp_path, capsys):
+    # at 0.05 pairs/s the CHSH table has an all-zero correlation group: a
+    # fault of the count data, not of the configuration
+    config = default_config()
+    config.source.pair_rate = 0.05
+    config.mc_samples = 20
+    path = tmp_path / "dim.ini"
+    save_config(config, path)
+    code = main(["--config", str(path), "--out", str(tmp_path / "out"), "report"])
+    assert code == 5
+    assert "zero total counts in correlation group" in capsys.readouterr().err

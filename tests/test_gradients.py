@@ -101,13 +101,13 @@ def test_fit_evaluates_objective_once_per_optimizer_call(monkeypatch):
 
     monkeypatch.setattr(tomography.optimize, "minimize", recording_minimize)
     t0 = _params_of_rho(np.eye(4) / 4.0)[None]
-    x, converged, history = _minimize_one(counting_rows, t0, np.array([True]),
-                                          objective.pgtol(1e-10), 1e-10, 5000, 20)
+    x, converged, history, nit = _minimize_one(counting_rows, t0, np.array([True]),
+                                               objective.pgtol(1e-10), 1e-10, 5000, 20)
     (res,) = results
     assert np.array_equal(x[0], res.x) and converged[0] == res.success
     assert len(calls) == res.nfev
     assert history[0, 0] == objective.rows(t0, ROW)[0][0]
-    assert len(history) == res.nit + 1
+    assert len(history) == res.nit + 1 and nit.tolist() == [res.nit]
 
 
 def test_log_likelihood_is_raw_count_likelihood_of_estimate():

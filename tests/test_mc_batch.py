@@ -5,20 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
+from entconv import pipeline
 from entconv.config import default_config
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import (CountRecord, expected_counts, poisson_resamples, read_counts_csv,
                             simulate_counts, simulate_process_counts)
-from entconv.pipeline import (_mc_seed, process_metrics_with_errors, run_simulate,
+from entconv.pipeline import (COUNT_FILES, _mc_seed, process_metrics_with_errors, run_report,
+                              run_reconstruct_process, run_reconstruct_state, run_simulate,
                               state_metrics_with_errors)
 from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
                             werner_state)
-from entconv.tomography import (TomographyOptions, _batch_table, _process_problem,
+from entconv.tomography import (_PROCESS_LBFGS, _PROCESS_START, _STATE_LBFGS,
+                                TomographyOptions, _batch_table, _chi_of_params, _fit_batch,
+                                _inversion, _params_of_rho, _process_problem, _rho_of_params,
                                 _state_problem, check_chi_matrix, identity_chi,
                                 mle_process, mle_process_batch, mle_state, mle_state_batch,
-                                monte_carlo_errors, process_fidelity, process_purity,
-                                subtract_accidentals, tomography_settings)
+                                mle_tables, monte_carlo_errors, process_fidelity,
+                                process_purity, subtract_accidentals, tomography_settings)
 
 SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
@@ -133,6 +138,80 @@ def test_one_table_batch_is_the_point_fit():
         assert fit.converged[0] == result.converged and not fit.failed[0]
 
 
+#: what a batch fit compares row by row, bit for bit
+ROW_FIELDS = ("estimates", "log_likelihood", "converged", "iterations")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_row_fits_alike_in_any_batch(kind):
+    """From the same start, a row's fit is the same, bit for bit, in a
+    permuted batch, in sub-batches of two or more rows and in a larger batch;
+    the rows stop at different iterations, so some are searched alone."""
+    records = (simulate_counts(werner_state(0.97), SETTINGS, SRC, DET, 10.0, seed=12)
+               if kind == "state" else process_records())
+    durations, raw = _batch_table(records, resamples(records, 30, seed=11))
+    if kind == "state":
+        start = _params_of_rho(_inversion(raw / durations)[0])
+        problem, lbfgs, estimate = _state_problem, _STATE_LBFGS, _rho_of_params
+    else:
+        start = np.tile(_PROCESS_START, (30, 1))
+        problem, lbfgs, estimate = _process_problem, _PROCESS_LBFGS, _chi_of_params
+
+    def fit(idx):
+        objective, errors = problem(durations, raw[idx])
+        return _fit_batch(objective, start[idx], errors, None, lbfgs, estimate)
+
+    ref = fit(np.arange(12))
+    assert len(set(ref.iterations.tolist())) > 1
+    for idx in (np.random.default_rng(13).permutation(12), np.array([3, 7]), np.arange(2, 9),
+                np.arange(30)):
+        other, mine = fit(idx), idx < 12
+        for name in ROW_FIELDS:
+            assert np.array_equal(getattr(other, name)[mine], getattr(ref, name)[idx[mine]]), name
+
+
+@pytest.mark.parametrize("seed", [103, 7, 6])
+def test_report_state_batch_equals_one_stage_fits(tmp_path, monkeypatch, seed):
+    """Every row of the report's one state batch (4 stages, 404 rows) equals,
+    bit for bit, its row in the fit of its stage alone."""
+    calls = []
+
+    def recording(kind, tables, options=None):
+        calls.append((kind, tables, options, mle_tables(kind, tables, options)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(pipeline, "mle_tables", recording)
+    run_report(replace(default_config(), seed=seed), tmp_path)
+    (kind, tables, options, merged), (process_kind, _, _, _) = calls
+    assert (kind, process_kind) == ("state", "process")
+    assert [len(fit.failed) for fit in merged] == [1, 100] * 4
+    for i in range(0, 8, 2):
+        for alone, fit in zip(mle_tables("state", tables[i:i + 2], options), merged[i:i + 2]):
+            for name in ROW_FIELDS:
+                assert np.array_equal(getattr(alone, name), getattr(fit, name)), name
+
+
+class ScipyCalled(Exception):
+    pass
+
+
+def test_report_path_never_calls_scipy_minimize(tmp_path, monkeypatch):
+    # every report fit is a row of a minimize_rows batch; library point fits
+    # keep scipy's one-table L-BFGS-B
+    def refuse(*args, **kwargs):
+        raise ScipyCalled
+
+    monkeypatch.setattr(optimize, "minimize", refuse)
+    config = replace(default_config(), mc_samples=2)
+    run_report(config, tmp_path)
+    run_reconstruct_state(config, tmp_path, tmp_path / COUNT_FILES["state_output"], "output")
+    run_reconstruct_process(config, tmp_path, tmp_path / COUNT_FILES["process"])
+    with pytest.raises(ScipyCalled):
+        mle_state(state_records())
+    with pytest.raises(ScipyCalled):
+        mle_process(process_records())
+
+
 def test_state_rows_without_counts_fail_alone():
     records = state_records()
     counts = resamples(records, 6, seed=6)
@@ -233,8 +312,8 @@ def test_every_fitted_row_is_physical(kind, table):
 def test_iteration_limit_marks_rows_unconverged():
     records = state_records()
     opts = TomographyOptions(max_iters=2)
-    mc = monte_carlo_errors(records, lambda n: mle_state_batch(records, n, opts),
-                            {"purity": purity}, n_samples=6, seed=10)
+    mc = monte_carlo_errors(mle_state_batch(records, resamples(records, 6, seed=10), opts),
+                            {"purity": purity}, "state")
     assert mc.n_failed == 0 and mc.n_unconverged == 6
 
 
@@ -326,16 +405,18 @@ def test_metrics_on_a_stack_equal_the_per_estimate_loop(name):
 
 
 #: every *_err of the five default report stages on seed 103, computed one
-#: estimate at a time before the metrics took the stack of estimates
+#: estimate at a time before the metrics took the stack of estimates; the
+#: output stages re-derived so when a lone row stopped taking BLAS's
+#: matrix-vector path in ``minimize_rows``
 PER_ESTIMATE_ERRORS = {
     "input_raw": {"fidelity": 0.0005205762096086602, "purity": 0.001049441921048636,
                   "tangle": 0.0020522607237668223},
     "input_corrected": {"fidelity": 0.0005485128540786452, "purity": 0.0011846966205962392,
                         "tangle": 0.0021572785569664854},
-    "output_raw": {"fidelity": 0.00442447345457797, "purity": 0.008384529783310292,
-                   "tangle": 0.016486208920242763},
-    "output_corrected": {"fidelity": 0.004787146654633937, "purity": 0.00933951150218574,
-                         "tangle": 0.01907841893915736},
+    "output_raw": {"fidelity": 0.0044244576457516645, "purity": 0.008384495285052113,
+                   "tangle": 0.016486154443434774},
+    "output_corrected": {"fidelity": 0.004787146654068048, "purity": 0.009339511497340323,
+                         "tangle": 0.019078418928575522},
     "process": {"fidelity": 3.076409572559703e-05, "purity": 6.291720524275069e-05},
 }
 

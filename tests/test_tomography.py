@@ -4,7 +4,7 @@ import pytest
 
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import (CountRecord, expected_counts, expected_process_counts,
-                            simulate_counts, simulate_process_counts)
+                            poisson_resamples, simulate_counts, simulate_process_counts)
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
                             ket2dm, projector, trace_distance, werner_state)
 from entconv.tomography import (ReconstructionError, chi_to_transfer,
@@ -296,15 +296,17 @@ class TestProcessMetrics:
 
 class TestMonteCarloErrors:
     @staticmethod
-    def _fits(records):
-        return lambda counts: mle_state_batch(records, counts)
+    def _errors(records, metrics, n_samples, seed, accidentals=0.0):
+        """``monte_carlo_errors`` of the state fits of ``n_samples`` resamples."""
+        counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)
+        return monte_carlo_errors(mle_state_batch(records, counts - accidentals), metrics,
+                                  "state")
 
     def test_huge_counts_give_tiny_errors(self):
         rho = werner_state(0.9)
         recs = noiseless_records(rho, rate=1e7, duration=1.0)
-        mc = monte_carlo_errors(recs, self._fits(recs),
-                                {"fidelity": lambda m: fidelity(m, bell_state("phi+"))},
-                                n_samples=2, seed=0)
+        mc = self._errors(recs, {"fidelity": lambda m: fidelity(m, bell_state("phi+"))},
+                          n_samples=2, seed=0)
         assert mc.std_errors["fidelity"] < 1e-3
         assert mc.n_failed == 0
 
@@ -313,8 +315,8 @@ class TestMonteCarloErrors:
         low = noiseless_records(rho, rate=20.0, duration=10.0)
         high = noiseless_records(rho, rate=80.0, duration=10.0)
         metric = {"fidelity": lambda m: fidelity(m, bell_state("phi+"))}
-        mc_low = monte_carlo_errors(low, self._fits(low), metric, n_samples=60, seed=1)
-        mc_high = monte_carlo_errors(high, self._fits(high), metric, n_samples=60, seed=2)
+        mc_low = self._errors(low, metric, n_samples=60, seed=1)
+        mc_high = self._errors(high, metric, n_samples=60, seed=2)
         ratio = mc_low.std_errors["fidelity"] / mc_high.std_errors["fidelity"]
         assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
 
@@ -322,20 +324,19 @@ class TestMonteCarloErrors:
         # about 1e-3 expected counts per table: nearly every resample is all
         # zeros, which no fit can normalize
         recs = noiseless_records(werner_state(0.9), rate=1e-3, duration=1.0)
-        with pytest.raises(ReconstructionError, match="resamples failed"):
-            monte_carlo_errors(recs, self._fits(recs), {"one": lambda m: 1.0},
-                               n_samples=10, seed=3)
+        with pytest.raises(ReconstructionError, match="^state: .* resamples failed"):
+            self._errors(recs, {"one": lambda m: 1.0}, n_samples=10, seed=3)
 
     def test_minimum_samples(self):
         recs = noiseless_records(werner_state(0.9))
         with pytest.raises(ValueError):
-            monte_carlo_errors(recs, self._fits(recs), {}, n_samples=1, seed=0)
+            self._errors(recs, {}, n_samples=1, seed=0)
 
     def test_deterministic(self):
         recs = noiseless_records(werner_state(0.9), rate=50.0, duration=10.0)
         metric = {"purity": lambda m: np.real(np.trace(m @ m, axis1=-2, axis2=-1))}
-        a = monte_carlo_errors(recs, self._fits(recs), metric, n_samples=8, seed=5)
-        b = monte_carlo_errors(recs, self._fits(recs), metric, n_samples=8, seed=5)
+        a = self._errors(recs, metric, n_samples=8, seed=5)
+        b = self._errors(recs, metric, n_samples=8, seed=5)
         assert a == b
 
     def test_fidelity_error_magnitude_at_reference_counts(self):
@@ -349,9 +350,6 @@ class TestMonteCarloErrors:
         recs = simulate_counts(rho_out, SETTINGS, config.source,
                                config.detection["output"], 100.0, seed=41)
         accidentals = np.array([r.accidental_estimate for r in recs])
-        mc = monte_carlo_errors(
-            recs,
-            lambda counts: mle_state_batch(recs, counts - accidentals),
-            {"fidelity": lambda m: fidelity(m, bell_state("phi+"))},
-            n_samples=40, seed=42)
+        mc = self._errors(recs, {"fidelity": lambda m: fidelity(m, bell_state("phi+"))},
+                          n_samples=40, seed=42, accidentals=accidentals)
         assert 0.002 / 3 <= mc.std_errors["fidelity"] <= 0.002 * 3
