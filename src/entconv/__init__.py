@@ -16,13 +16,12 @@ from .conversion import (BudgetInputs, ConversionError, ConversionParams,
 from .counts import (CountDataError, CountRecord, expected_counts, poisson_resamples,
                      read_counts_csv, simulate_counts, simulate_process_counts,
                      write_counts_csv)
-from .states import (MetricReport, PAULIS, bell_state, concurrence, fidelity, kron,
-                     projector, purity, tangle, trace_distance, werner_state)
+from .states import (MetricReport, PAULIS, bell_state, concurrence, fidelity, projector,
+                     purity, tangle, trace_distance, werner_state)
 from .tomography import (BatchFit, MonteCarloErrors, ReconstructionError,
                          TomographyOptions, TomographyResult, check_chi_matrix,
-                         identity_chi, linear_inversion_state, mle_process,
-                         mle_process_batch, mle_state, mle_state_batch,
-                         monte_carlo_errors, process_fidelity, process_purity,
+                         identity_chi, linear_inversion_state, mle_process, mle_state,
+                         mle_tables, monte_carlo_errors, process_fidelity, process_purity,
                          subtract_accidentals, tomography_settings)
 
 __version__ = "0.1.0"

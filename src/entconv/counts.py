@@ -153,13 +153,6 @@ def _poisson_rows(means: np.ndarray, seed: int, repetition: int) -> list[list[in
             for i, row in enumerate(means)]
 
 
-def coincidence_rate(rho: np.ndarray, setting_a: str, setting_b: str,
-                     source: SourceModel, det: DetectionModel) -> float:
-    """Expected signal coincidence rate (cps) for one setting pair."""
-    _, _, rate = _pair_rates(rho, [(setting_a, setting_b)], source, det)
-    return float(rate[0])
-
-
 def expected_counts(rho: np.ndarray, settings: list[tuple[str, str]],
                     source: SourceModel, det: DetectionModel,
                     duration: float) -> list[CountRecord]:
@@ -194,16 +187,6 @@ def simulate_counts(rho: np.ndarray, settings: list[tuple[str, str]],
                         accidental_estimate=acc)
             for a, b, (n_c, extra_a, extra_b)
             in zip(first, second, _poisson_rows(means, seed, repetition))]
-
-
-def process_rate(channel, setting_in: str, setting_meas: str, rate: float) -> float:
-    """Expected detection rate rate * Tr[P_meas E(rho_in)] for a 1-qubit map.
-
-    ``channel`` maps a 2x2 matrix to a 2x2 matrix and may be trace
-    non-increasing; the lost trace simply lowers the count rate.
-    """
-    _, _, p = _probabilities([(setting_in, setting_meas)], channel=channel)
-    return float(rate * p[0])
 
 
 def expected_process_counts(channel, settings: list[tuple[str, str]], rate: float,
@@ -244,8 +227,8 @@ def write_counts_csv(path: str | Path, records: list[CountRecord]) -> None:
 def read_counts_csv(path: str | Path) -> list[CountRecord]:
     """Read records written by write_counts_csv.
 
-    A wrong header, a short row, an unparsable number or an invalid record
-    raises ``CountDataError`` naming the line.
+    A wrong header, a row with a field too few or too many, an unparsable
+    number or an invalid record raises ``CountDataError`` naming the line.
     """
     records = []
     with open(path, newline="") as fh:
@@ -256,9 +239,13 @@ def read_counts_csv(path: str | Path) -> list[CountRecord]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise CountDataError(f"{where}: expected {len(CSV_HEADER)} fields, "
+                                     f"got {len(row)}")
             try:
                 records.append(CountRecord(row[0], row[1], float(row[2]), float(row[3]),
                                            int(row[4]), int(row[5]), float(row[6])))
-            except (IndexError, ValueError) as exc:
-                raise CountDataError(f"{path}: line {reader.line_num}: {exc}") from None
+            except ValueError as exc:
+                raise CountDataError(f"{where}: {exc}") from None
     return records

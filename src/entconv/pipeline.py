@@ -112,21 +112,6 @@ def fit_stages(kind: str, stages: dict[str, tuple[list[CountRecord], bool, int]]
     return out
 
 
-def state_metrics_with_errors(records: list[CountRecord], options: TomographyOptions,
-                              subtract: bool, mc_samples: int, seed: int,
-                              label: str = "state") -> tuple[TomographyResult, MonteCarloErrors]:
-    """``fit_stages`` of one state stage: F, P and T with their std-errors."""
-    return fit_stages("state", {label: (records, subtract, seed)}, options, mc_samples)[label]
-
-
-def process_metrics_with_errors(records: list[CountRecord], options: TomographyOptions,
-                                mc_samples: int,
-                                seed: int) -> tuple[TomographyResult, MonteCarloErrors]:
-    """``fit_stages`` of the process stage: F and P with their std-errors."""
-    return fit_stages("process", {"process": (records, False, seed)}, options,
-                      mc_samples)["process"]
-
-
 def _state_report(result: TomographyResult, label: str) -> str:
     m = result.metrics
     items = {
@@ -148,8 +133,8 @@ def run_reconstruct_state(config: ExperimentConfig, outdir: str | Path,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    result, _ = state_metrics_with_errors(records, config.tomography, subtract,
-                                          config.mc_samples, _mc_seed(config, 0), label)
+    result, _ = fit_stages("state", {label: (records, subtract, _mc_seed(config, 0))},
+                           config.tomography, config.mc_samples)[label]
     (outdir / f"state_{label}.txt").write_text(_state_report(result, label))
     return result
 
@@ -160,8 +145,8 @@ def run_reconstruct_process(config: ExperimentConfig, outdir: str | Path,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    result, _ = process_metrics_with_errors(records, config.tomography,
-                                            config.mc_samples, _mc_seed(config, 1))
+    result, _ = fit_stages("process", {"process": (records, False, _mc_seed(config, 1))},
+                           config.tomography, config.mc_samples)["process"]
     (outdir / "process_chi.txt").write_text(_state_report(result, "process"))
     return result
 

@@ -42,15 +42,6 @@ _BELL = {
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("kron expects two square matrices")
-    return np.kron(a, b)
-
-
 def ket(label: str) -> np.ndarray:
     """Return the normalized single-qubit ket for one of H, V, D, A, R, L."""
     try:
@@ -84,17 +75,6 @@ def werner_state(p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner weight must be in [0, 1], got {p}")
     return p * ket2dm(_BELL["phi+"]) + (1.0 - p) * np.eye(4) / 4.0
-
-
-def check_state_vector(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a 2- or 4-component unit vector; returns it as a complex array."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size not in (2, 4):
-        raise ValueError(f"state vector must have length 2 or 4, got {psi.size}")
-    norm2 = float(np.real(psi.conj() @ psi))
-    if abs(norm2 - 1.0) > tol:
-        raise ValueError(f"state vector norm^2 = {norm2}, not 1 within {tol}")
-    return psi
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

@@ -16,10 +16,9 @@ eigendecomposition (Daleckii-Krein divided differences).
 
 Both objectives take a leading batch axis: one row per count table, rows
 independent. ``mle_tables`` fits the rows of several tables of a kind in one
-batch; ``mle_state_batch``/``mle_process_batch`` are its one-table case and
-``mle_state``/``mle_process`` their one-row case. One row is fitted by
-scipy's L-BFGS-B, several (a report's point tables and resamples) at once by
-``lbfgs.minimize_rows``, the same iteration vectorised over rows, each the
+batch; ``mle_state``/``mle_process`` are its one-row case. One row is fitted
+by scipy's L-BFGS-B, several (a report's point tables and resamples) at once
+by ``lbfgs.minimize_rows``, the same iteration vectorised over rows, each the
 faster on its side; the scipy fit is the reference it is tested against.
 
 Records are always fitted in canonical setting order, so the projector
@@ -71,7 +70,7 @@ _GROUP = 3 * (np.arange(36) // 12) + np.arange(36) % 6 // 2
 
 
 def _kron_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """kron(left[a], right[b]) at [a, b] for two stacks of 2x2 matrices."""
+    """np.kron(left[a], right[b]) at [a, b] for two stacks of 2x2 matrices."""
     return np.einsum("aij,bkl->abikjl", left, right).reshape(len(left), len(right), 4, 4)
 
 
@@ -344,10 +343,10 @@ def _unit_counts(raw: np.ndarray):
 
 
 def _state_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, dict[int, str]]:
-    """The objective ``mle_state_batch`` minimizes for (B, 36) canonical raw
-    counts, and why each row without counts cannot be fitted. The flux N is
-    the mean summed rate of the nine basis-pair groups, whose four joint
-    projectors sum to the identity."""
+    """The objective the state fits of ``mle_tables`` minimize for (B, 36)
+    canonical raw counts, and why each row without counts cannot be fitted.
+    The flux N is the mean summed rate of the nine basis-pair groups, whose
+    four joint projectors sum to the identity."""
     counts, scale, total, empty = _unit_counts(raw)
     flux = np.mean(_group_sums(raw / durations), axis=1)
     norms = flux[:, None] * durations / scale[:, None]
@@ -356,9 +355,9 @@ def _state_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, d
 
 
 def _process_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, dict[int, str]]:
-    """The objective ``mle_process_batch`` minimizes for (B, 36) canonical raw
-    counts, and why each row without counts, or with an input state without
-    counts, cannot be fitted."""
+    """The objective the process fits of ``mle_tables`` minimize for (B, 36)
+    canonical raw counts, and why each row without counts, or with an input
+    state without counts, cannot be fitted."""
     counts, scale, total, empty = _unit_counts(raw)
     flux = (raw / durations).reshape(-1, 6, 6).sum(axis=2) / 3.0
     norms = np.repeat(flux, 6, axis=1) * durations / scale[:, None]
@@ -498,29 +497,18 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
 
 def mle_state(records: list[CountRecord],
               options: TomographyOptions | None = None) -> TomographyResult:
-    """Maximum-likelihood two-qubit state reconstruction: ``mle_state_batch``
-    of the records' own coincidences, with the fidelity to |phi+>.
+    """Maximum-likelihood two-qubit state reconstruction of the records' own
+    coincidences, with the fidelity to |phi+>.
 
+    Expected counts are mu_s = N * duration_s * Tr[(P_a x P_b) rho(t)] over
+    16 parameters, with the flux N fixed to the mean summed rate of the nine
+    complete basis groups. The fit starts from the linear inversion of its
+    table, or from the mixed state where a basis group has no counts.
     Non-convergence is reported through the ``converged`` flag, never
     silently; a table that cannot be fitted raises ``ReconstructionError``.
     """
-    fit = mle_state_batch(records, [[r.coincidences for r in records]], options)
+    fit = mle_tables("state", [(records, [[r.coincidences for r in records]])], options)[0]
     return point_result(fit, "state")
-
-
-def mle_state_batch(records: list[CountRecord], counts: np.ndarray,
-                    options: TomographyOptions | None = None) -> BatchFit:
-    """Maximum-likelihood two-qubit state reconstruction of B count tables.
-
-    ``records`` give the settings and durations; row b of ``counts`` (shape
-    (B, 36), in the order of ``records``) replaces their coincidences,
-    clamped at zero. Expected counts are mu_s = N * duration_s *
-    Tr[(P_a x P_b) rho(t)] over 16 parameters, with the flux N fixed to the
-    mean summed rate of the nine complete basis groups. A fit starts from
-    the linear inversion of its table, or from the mixed state where a basis
-    group has no counts. A row without counts fails.
-    """
-    return mle_tables("state", [(records, counts)], options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,38 +601,34 @@ def _chi_of_params(t: np.ndarray) -> np.ndarray:
 
 def mle_process(records: list[CountRecord],
                 options: TomographyOptions | None = None) -> TomographyResult:
-    """Maximum-likelihood single-qubit process reconstruction:
-    ``mle_process_batch`` of the records' own coincidences, with the
-    fidelity to the identity channel. Failures as in ``mle_state``."""
-    return point_result(
-        mle_process_batch(records, [[r.coincidences for r in records]], options), "process")
-
-
-def mle_process_batch(records: list[CountRecord], counts: np.ndarray,
-                      options: TomographyOptions | None = None) -> BatchFit:
-    """Maximum-likelihood single-qubit process reconstruction of B count tables.
+    """Maximum-likelihood single-qubit process reconstruction of the records'
+    own coincidences, with the fidelity to the identity channel.
 
     Records pair an input-state label (setting_a) with a measurement label
-    (setting_b); ``counts`` replace their coincidences as in
-    ``mle_state_batch``. Expected counts are mu_s = N_k * duration_s *
-    Tr[W_s J(t)] over 16 Choi-factor parameters, with the per-input flux N_k
-    fixed by the three complete measurement bases. J(t) is the retracted
-    Choi matrix, so trace preservation holds exactly (Jezek, Fiurasek and
-    Hradil, PRA 68, 012305, 2003), and the gradient is pulled back through
-    the retraction. A row without counts, or with an input state without
-    counts, fails.
+    (setting_b). Expected counts are mu_s = N_k * duration_s * Tr[W_s J(t)]
+    over 16 Choi-factor parameters, with the per-input flux N_k fixed by the
+    three complete measurement bases. J(t) is the retracted Choi matrix, so
+    trace preservation holds exactly (Jezek, Fiurasek and Hradil, PRA 68,
+    012305, 2003), and the gradient is pulled back through the retraction.
+    Failures as in ``mle_state``; an input state without counts fails too.
     """
-    return mle_tables("process", [(records, counts)], options)[0]
+    fit = mle_tables("process", [(records, [[r.coincidences for r in records]])], options)[0]
+    return point_result(fit, "process")
 
 
 def mle_tables(kind: str, tables: list[tuple[list[CountRecord], np.ndarray]],
                options: TomographyOptions | None = None) -> list[BatchFit]:
-    """The ``mle_state_batch`` (``kind`` "state") or ``mle_process_batch``
-    ("process") fits of several (records, counts) tables, which may differ in
-    durations and setting order, all rows in one batch, split back per table.
-    A row's fit does not depend on the rows around it, but the least-squares
-    inversion rounds a row differently next to other right-hand sides, so
-    each table's state starts are solved from that table alone."""
+    """The ``mle_state`` (``kind`` "state") or ``mle_process`` ("process")
+    fits of the rows of several (records, counts) tables, all in one batch,
+    split back per table.
+
+    ``records`` give the settings and durations, which may differ between
+    tables; row b of ``counts`` (shape (B, 36), in the order of ``records``)
+    replaces their coincidences, clamped at zero. A row that cannot be
+    fitted fails alone. A row's fit does not depend on the rows around it,
+    but the least-squares inversion rounds a row differently next to other
+    right-hand sides, so each table's state starts are solved from that
+    table alone."""
     parts = [_batch_table(records, counts) for records, counts in tables]
     durations = np.concatenate([np.broadcast_to(d, raw.shape) for d, raw in parts])
     raw = np.concatenate([raw for _, raw in parts])

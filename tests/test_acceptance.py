@@ -19,8 +19,8 @@ from entconv.states import (bell_state, fidelity, ket2dm, purity, tangle,
                             trace_distance, werner_state)
 from entconv.tomography import (_STATE_LBFGS, TomographyOptions, _batch_table, _fit_batch,
                                 _params_of_rho, _rho_of_params, _state_problem,
-                                linear_inversion_state, mle_process, mle_process_batch,
-                                mle_state, mle_state_batch, monte_carlo_errors,
+                                linear_inversion_state, mle_process, mle_state,
+                                mle_tables, monte_carlo_errors,
                                 process_fidelity, process_purity, identity_chi,
                                 subtract_accidentals, tomography_settings)
 
@@ -125,7 +125,7 @@ def test_criterion_4_state_metric_reproduction():
     accidentals = np.array([r.accidental_estimate for r in records])
     counts = poisson_resamples([r.coincidences for r in records], 100, seed=404)
     mc = monte_carlo_errors(
-        mle_state_batch(records, counts - accidentals, config.tomography),
+        mle_tables("state", [(records, counts - accidentals)], config.tomography)[0],
         {"fidelity": lambda m: fidelity(m, target), "purity": purity, "tangle": tangle},
         "output_corrected")
     elapsed = time.perf_counter() - t0
@@ -165,7 +165,7 @@ def test_criterion_5_process_tomography():
     ideal = identity_chi()
     counts = poisson_resamples([r.coincidences for r in records], 40, seed=505)
     mc = monte_carlo_errors(
-        mle_process_batch(records, counts, config.tomography),
+        mle_tables("process", [(records, counts)], config.tomography)[0],
         {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity},
         "process")
     elapsed = time.perf_counter() - t0

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from entconv.config import default_config
 from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, convert,
                                 convert_qubit, source_state)
-from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, coincidence_rate,
-                            expected_counts, expected_process_counts, joint_projector,
-                            parse_setting, poisson_resamples, process_rate, read_counts_csv,
-                            setting_projector, simulate_counts, simulate_process_counts,
-                            stage_seed, substream, write_counts_csv)
+from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, expected_counts,
+                            expected_process_counts, joint_projector, parse_setting,
+                            poisson_resamples, read_counts_csv, setting_projector,
+                            simulate_counts, simulate_process_counts, stage_seed, substream,
+                            write_counts_csv)
 from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
 from entconv.tomography import tomography_settings
 
@@ -55,8 +55,9 @@ class TestExpectedCounts:
 
     def test_rate_includes_efficiencies(self):
         det = DetectionModel(det_eff_810=0.5, det_eff_532=0.4, conversion_eff=0.1)
-        assert coincidence_rate(PHI_P, "H", "H", SRC, det) == pytest.approx(
-            15.0 * 0.5 * 0.4 * 0.1 * 0.5, rel=1e-12)
+        (rec,) = expected_counts(PHI_P, [("H", "H")], SRC, det, 1.0)
+        assert rec.accidental_estimate == 0.0
+        assert rec.coincidences == pytest.approx(15.0 * 0.5 * 0.4 * 0.1 * 0.5, rel=1e-12)
 
     def test_empty_settings_rejected(self):
         with pytest.raises(ValueError):
@@ -172,7 +173,8 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="coincidences must be finite"):
             read_counts_csv(path)
 
-    @pytest.mark.parametrize("row", ["V,H,1.0,abc,5,5,0.5", "V,H,1.0,3.0"])
+    @pytest.mark.parametrize("row", ["V,H,1.0,abc,5,5,0.5", "V,H,1.0,3.0", "V,H,1.0,3.0,5,5",
+                                     "H,H,1.0,5.0,10,10,0.0,999"])
     def test_csv_malformed_row_is_count_data_error(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         write_counts_csv(path, [CountRecord("H", "V", 1.0, 3.0, 5, 5, 0.5)])
@@ -364,18 +366,6 @@ class TestBatchedGeneratorMatchesPerRecordLoops:
                                                        20.0, 9, repetition))
             assert field_reprs(expected_counts(rho, settings_, config.source, det, 20.0)) == \
                 field_reprs(legacy_expected_counts(rho, settings_, config.source, det, 20.0))
-
-    def test_single_setting_rates(self):
-        config = default_config()
-        det = config.detection["output"]
-        fn = lambda r: convert_qubit(r, CHANNELS[1])
-        for rho, settings_, _, _ in pair_stages(config):
-            for a, b in settings_:
-                assert repr(coincidence_rate(rho, a, b, config.source, det)) == \
-                    repr(legacy_coincidence_rate(rho, a, b, config.source, det))
-        for k, m in LABEL_SETTINGS:
-            assert repr(process_rate(fn, k, m, 1000.0)) == \
-                repr(legacy_process_rate(fn, k, m, 1000.0))
 
     def test_csv_bytes_equal_asdict_writer(self, tmp_path):
         config = default_config()

@@ -12,18 +12,17 @@ from entconv.config import default_config
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import (CountRecord, expected_counts, poisson_resamples, read_counts_csv,
                             simulate_counts, simulate_process_counts)
-from entconv.pipeline import (COUNT_FILES, _mc_seed, process_metrics_with_errors, run_report,
-                              run_reconstruct_process, run_reconstruct_state, run_simulate,
-                              state_metrics_with_errors)
+from entconv.pipeline import (COUNT_FILES, _mc_seed, fit_stages, run_report,
+                              run_reconstruct_process, run_reconstruct_state, run_simulate)
 from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
                             werner_state)
 from entconv.tomography import (_PROCESS_LBFGS, _PROCESS_START, _STATE_LBFGS,
                                 TomographyOptions, _batch_table, _chi_of_params, _fit_batch,
                                 _inversion, _params_of_rho, _process_problem, _rho_of_params,
                                 _state_problem, check_chi_matrix, identity_chi,
-                                mle_process, mle_process_batch, mle_state, mle_state_batch,
-                                mle_tables, monte_carlo_errors, process_fidelity,
-                                process_purity, subtract_accidentals, tomography_settings)
+                                mle_process, mle_state, mle_tables, monte_carlo_errors,
+                                process_fidelity, process_purity, subtract_accidentals,
+                                tomography_settings)
 
 SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
@@ -127,11 +126,11 @@ def test_one_table_batch_is_the_point_fit():
     # both run the one-table optimizer; several tables run minimize_rows
     for kind in KINDS:
         if kind == "state":
-            records, point, batch = state_records(), mle_state, mle_state_batch
+            records, point = state_records(), mle_state
         else:
-            records, point, batch = process_records(), mle_process, mle_process_batch
+            records, point = process_records(), mle_process
         result = point(records)
-        fit = batch(records, [[r.coincidences for r in records]])
+        fit = mle_tables(kind, [(records, [[r.coincidences for r in records]])])[0]
         assert np.array_equal(fit.estimates[0], result.estimate)
         assert np.array_equal(fit.history[:, 0], result.history)
         assert fit.log_likelihood[0] == result.log_likelihood
@@ -215,10 +214,10 @@ def test_report_path_never_calls_scipy_minimize(tmp_path, monkeypatch):
 def test_state_rows_without_counts_fail_alone():
     records = state_records()
     counts = resamples(records, 6, seed=6)
-    good = mle_state_batch(records, counts)
+    good = mle_tables("state", [(records, counts)])[0]
     counts_bad = counts.copy()
     counts_bad[3] = 0.0
-    fit = mle_state_batch(records, counts_bad)
+    fit = mle_tables("state", [(records, counts_bad)])[0]
     assert fit.failed.tolist() == [False, False, False, True, False, False]
     assert fit.errors == {3: "all counts are zero"}
     assert np.all(np.isnan(fit.estimates[3]))
@@ -234,7 +233,7 @@ def test_empty_basis_group_row_uses_mixed_start_like_mle_state():
     counts = resamples(records, 4, seed=7)
     group = [SETTINGS.index(s) for s in (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))]
     counts[1, group] = 0.0
-    fit = mle_state_batch(records, counts)
+    fit = mle_tables("state", [(records, counts)])[0]
     assert not fit.failed.any() and fit.converged.all()
     for b in range(4):
         seq = mle_state(with_counts(records, counts[b]))
@@ -244,10 +243,10 @@ def test_empty_basis_group_row_uses_mixed_start_like_mle_state():
 def test_process_row_with_dark_input_fails_alone():
     records = process_records()
     counts = resamples(records, 5, seed=8)
-    good = mle_process_batch(records, counts)
+    good = mle_tables("process", [(records, counts)])[0]
     counts[2, [i for i, (a, _) in enumerate(SETTINGS) if a == "D"]] = 0.0
     counts[4] = 0.0
-    fit = mle_process_batch(records, counts)
+    fit = mle_tables("process", [(records, counts)])[0]
     assert fit.failed.tolist() == [False, False, True, False, True]
     assert fit.errors == {2: "input state 'D' has zero counts", 4: "all counts are zero"}
     keep = ~fit.failed
@@ -258,7 +257,7 @@ def test_process_row_with_dark_input_fails_alone():
 
 def test_batched_histories_are_monotone_and_end_at_the_fit():
     records = state_records()
-    fit = mle_state_batch(records, resamples(records, 8, seed=9))
+    fit = mle_tables("state", [(records, resamples(records, 8, seed=9))])[0]
     steps = np.diff(fit.history, axis=0)
     assert np.all(steps >= -1e-9 * np.maximum(1.0, np.abs(fit.history[:-1])))
     assert np.array_equal(fit.history[-1], fit.log_likelihood)
@@ -296,8 +295,7 @@ def count_tables(draw):
 @given(table=count_tables())
 def test_every_fitted_row_is_physical(kind, table):
     records, counts = table
-    batch = mle_state_batch if kind == "state" else mle_process_batch
-    fit = batch(records, counts)
+    fit = mle_tables(kind, [(records, counts)])[0]
     assert sorted(fit.errors) == np.flatnonzero(fit.failed).tolist()
     assert fit.failed[counts.sum(axis=1) == 0].all()
     assert np.isnan(fit.estimates[fit.failed]).all()
@@ -312,8 +310,8 @@ def test_every_fitted_row_is_physical(kind, table):
 def test_iteration_limit_marks_rows_unconverged():
     records = state_records()
     opts = TomographyOptions(max_iters=2)
-    mc = monte_carlo_errors(mle_state_batch(records, resamples(records, 6, seed=10), opts),
-                            {"purity": purity}, "state")
+    fit = mle_tables("state", [(records, resamples(records, 6, seed=10))], opts)[0]
+    mc = monte_carlo_errors(fit, {"purity": purity}, "state")
     assert mc.n_failed == 0 and mc.n_unconverged == 6
 
 
@@ -335,13 +333,9 @@ STAGES = {"input_raw": ("state_input", False, 3), "input_corrected": ("state_inp
 def test_default_report_stages_converge_every_resample(default_stage_tables, stage):
     config, tables = default_stage_tables
     table, subtract, index = STAGES[stage]
-    seed = _mc_seed(config, index)
-    if table == "process":
-        _, mc = process_metrics_with_errors(tables[table], config.tomography,
-                                            config.mc_samples, seed)
-    else:
-        _, mc = state_metrics_with_errors(tables[table], config.tomography, subtract,
-                                          config.mc_samples, seed)
+    kind = "process" if table == "process" else "state"
+    _, mc = fit_stages(kind, {stage: (tables[table], subtract, _mc_seed(config, index))},
+                       config.tomography, config.mc_samples)[stage]
     assert (mc.n_samples, mc.n_failed, mc.n_unconverged) == (100, 0, 0)
 
 
@@ -357,14 +351,14 @@ def test_batched_stage_agrees_with_sequential_fits(default_stage_tables, stage):
     counts = poisson_resamples([r.coincidences for r in records], config.mc_samples,
                                _mc_seed(config, index))
     if table == "process":
-        fit = mle_process_batch(records, counts, opts)
+        fit = mle_tables("process", [(records, counts)], opts)[0]
         seq = [mle_process(with_counts(records, row), opts) for row in counts]
         ideal = identity_chi()
         metrics = {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity}
         raw = counts
     else:
         accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
-        fit = mle_state_batch(records, counts - accidentals, opts)
+        fit = mle_tables("state", [(records, counts - accidentals)], opts)[0]
         prepare = subtract_accidentals if subtract else list
         seq = [mle_state(prepare(with_counts(records, row)), opts) for row in counts]
         target = bell_state("phi+")
@@ -426,13 +420,9 @@ def test_stage_error_bars_equal_per_estimate_values(default_stage_tables, stage)
     config, tables = default_stage_tables
     assert config.seed == 103
     table, subtract, index = STAGES[stage]
-    seed = _mc_seed(config, index)
-    if table == "process":
-        _, mc = process_metrics_with_errors(tables[table], config.tomography,
-                                            config.mc_samples, seed)
-    else:
-        _, mc = state_metrics_with_errors(tables[table], config.tomography, subtract,
-                                          config.mc_samples, seed)
+    kind = "process" if table == "process" else "state"
+    _, mc = fit_stages(kind, {stage: (tables[table], subtract, _mc_seed(config, index))},
+                       config.tomography, config.mc_samples)[stage]
     assert mc.std_errors.keys() == PER_ESTIMATE_ERRORS[stage].keys()
     for name, ref in PER_ESTIMATE_ERRORS[stage].items():
         assert mc.std_errors[name] == pytest.approx(ref, rel=1e-12)

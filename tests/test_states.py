@@ -2,9 +2,8 @@
 import numpy as np
 import pytest
 
-from entconv.states import (MetricReport, PAULIS, SIGMA_Y, SIGMA_Z, bell_state,
-                            check_density_matrix, check_state_vector, concurrence,
-                            fidelity, ket, ket2dm, kron, projector, purity, tangle,
+from entconv.states import (MetricReport, PAULIS, SIGMA_Y, bell_state, check_density_matrix,
+                            concurrence, fidelity, ket, ket2dm, projector, purity, tangle,
                             trace_distance, werner_state)
 
 
@@ -28,23 +27,6 @@ class TestPauliBasis:
                 assert np.trace(a @ b) == pytest.approx(expected, abs=1e-14)
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_pair(self):
-        assert np.allclose(np.diag(kron(SIGMA_Z, SIGMA_Z)), [1, -1, -1, 1])
-
-    def test_basis_projector(self):
-        hv = np.zeros((4, 4))
-        hv[1, 1] = 1.0
-        assert np.allclose(kron(projector("H"), projector("V")), hv)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            kron(np.ones((2, 3)), np.eye(2))
-
-
 class TestBellStates:
     def test_phi_plus(self):
         assert np.allclose(bell_state("phi+"), np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -61,7 +43,7 @@ class TestBellStates:
 
     def test_all_normalized(self):
         for kind in ("phi+", "phi-", "psi+", "psi-"):
-            check_state_vector(bell_state(kind))
+            assert np.linalg.norm(bell_state(kind)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProjectors:
@@ -193,10 +175,6 @@ class TestValidators:
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             check_density_matrix(bad)
-
-    def test_state_vector_norm(self):
-        with pytest.raises(ValueError, match="norm"):
-            check_state_vector(np.array([1.0, 1.0]))
 
 
 class TestTraceDistance:

@@ -10,7 +10,7 @@ from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
 from entconv.tomography import (ReconstructionError, chi_to_transfer,
                                 TomographyOptions, channel_chi, check_chi_matrix,
                                 identity_chi, linear_inversion_state, mle_process,
-                                mle_state, mle_state_batch, monte_carlo_errors,
+                                mle_state, mle_tables, monte_carlo_errors,
                                 process_fidelity,
                                 process_purity, subtract_accidentals,
                                 tomography_settings, tp_violation)
@@ -299,8 +299,8 @@ class TestMonteCarloErrors:
     def _errors(records, metrics, n_samples, seed, accidentals=0.0):
         """``monte_carlo_errors`` of the state fits of ``n_samples`` resamples."""
         counts = poisson_resamples([r.coincidences for r in records], n_samples, seed)
-        return monte_carlo_errors(mle_state_batch(records, counts - accidentals), metrics,
-                                  "state")
+        fit = mle_tables("state", [(records, counts - accidentals)])[0]
+        return monte_carlo_errors(fit, metrics, "state")
 
     def test_huge_counts_give_tiny_errors(self):
         rho = werner_state(0.9)
