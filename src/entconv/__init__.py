@@ -7,7 +7,7 @@ maximum-likelihood state and process tomography, and Monte-Carlo error bars.
 """
 
 from .chsh import (ChshResult, ChshSettings, analyzer_observable, chsh_s,
-                   correlation_from_counts, correlation_from_state)
+                   correlation_from_state)
 from .config import ExperimentConfig, default_config, load_config, save_config
 from .conversion import (BudgetInputs, ConversionError, ConversionParams,
                          DetectionModel, EfficiencyParams, SourceModel, convert,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid configuration, 3 reconstruction failed to
-converge, 4 I/O failure, 5 invalid count data.
+converge, 4 I/O failure, 5 invalid count data, a table whose records do not
+match the settings its analysis expects among them.
 """
 from __future__ import annotations
 

@@ -120,7 +120,11 @@ class ExperimentConfig:
     efficiency: BudgetInputs = field(default_factory=BudgetInputs)
 
     def __post_init__(self):
-        for stage in ("input", "output", "chsh"):
+        stages = ("input", "output", "chsh")
+        for stage in self.detection:
+            if stage not in stages:
+                raise ConfigError(f"unknown detection stage {stage!r}")
+        for stage in stages:
             if stage not in self.detection:
                 raise ConfigError(f"missing detection stage {stage!r}")
         if not 0.0 <= self.chsh_source_p <= 1.0:

@@ -5,9 +5,10 @@ analyzer angle in degrees (projector onto cos(t)|H> + sin(t)|V>). Settings
 are stored as strings so both kinds serialize uniformly.
 
 Random streams: every sampled record draws from an independent generator
-derived from (root seed, setting index, repetition) through SeedSequence
-spawn keys, so runs are reproducible and settings can be sampled in any
-order or in parallel.
+derived from (root seed, setting index, 0) through SeedSequence spawn keys,
+so runs are reproducible and settings can be sampled in any order or in
+parallel. ``table_order`` matches a table's records to the settings an
+analysis expects, and raises every layout fault of a count table.
 """
 from __future__ import annotations
 
@@ -96,6 +97,56 @@ def parse_setting(setting: str) -> tuple[str, float | str]:
         raise ValueError(f"setting must be one of {PROJECTOR_LABELS} or an angle, got {setting!r}") from None
 
 
+#: Analyzer angles closer than this, in degrees modulo 180, are one setting.
+_ANGLE_TOL = 1e-6
+
+
+def table_order(records: list[CountRecord],
+                settings: list[tuple[str | float, str | float]]) -> np.ndarray:
+    """Index of the record of each expected setting pair, in the order of ``settings``.
+
+    Labels match exactly; analyzer angles (numbers or their strings) match
+    modulo 180 degrees within 1e-6, so "202.5" matches 22.5. A pair listed
+    n times in ``settings`` takes n records, in file order. A table with too
+    many or too few records, and a record of the wrong setting kind or that
+    matches no pair still open, raise ``CountDataError``.
+    """
+    if len(records) != len(settings):
+        raise CountDataError(f"expected {len(settings)} records, got {len(records)}")
+    angles: tuple[list[float], list[float]] = ([], [])  # expected, per side
+
+    def key(setting, side: int, expected: bool = False):
+        """A label itself; an angle as the first expected angle it matches."""
+        if setting in PROJECTOR_LABELS:
+            return setting
+        try:
+            angle = float(setting) % 180.0
+        except ValueError:
+            return None
+        for k in angles[side]:
+            if abs((angle - k + 90.0) % 180.0 - 90.0) < _ANGLE_TOL:
+                return k
+        if expected:
+            angles[side].append(angle)
+            return angle
+        return None
+
+    slots: dict[tuple, list[int]] = {}
+    for n, (a, b) in enumerate(settings):
+        slots.setdefault((key(a, 0, True), key(b, 1, True)), []).append(n)
+    order = [0] * len(settings)
+    for i, r in enumerate(records):
+        open_slots = slots.get((r.setting_a, r.setting_b))  # a label pair is its own key
+        if open_slots is None:
+            open_slots = slots.get((key(r.setting_a, 0), key(r.setting_b, 1)))
+        if not open_slots:
+            fault = "duplicate setting pair" if open_slots is not None else \
+                f"no such pair among the {'angle' if angles[0] else 'label'} settings"
+            raise CountDataError(f"record {i + 1} ({r.setting_a}, {r.setting_b}): {fault}")
+        order[open_slots.pop(0)] = i
+    return np.array(order)
+
+
 def setting_projector(setting: str) -> np.ndarray:
     """2x2 projector for a polarization label or an analyzer angle in degrees."""
     kind, value = parse_setting(setting)
@@ -146,10 +197,10 @@ def _pair_rates(rho, settings, source: SourceModel, det: DetectionModel):
         source.pair_rate * det.conversion_eff * det.det_eff_810 * det.det_eff_532 * p
 
 
-def _poisson_rows(means: np.ndarray, seed: int, repetition: int) -> list[list[int]]:
+def _poisson_rows(means: np.ndarray, seed: int) -> list[list[int]]:
     """Poisson draws of each row i of ``means``, in column order, from its own
-    stream substream(seed, i, repetition)."""
-    return [substream(seed, i, repetition).poisson(row).tolist()
+    stream substream(seed, i, 0)."""
+    return [substream(seed, i, 0).poisson(row).tolist()
             for i, row in enumerate(means)]
 
 
@@ -169,7 +220,7 @@ def expected_counts(rho: np.ndarray, settings: list[tuple[str, str]],
 
 def simulate_counts(rho: np.ndarray, settings: list[tuple[str, str]],
                     source: SourceModel, det: DetectionModel, duration: float,
-                    seed: int, repetition: int = 0) -> list[CountRecord]:
+                    seed: int) -> list[CountRecord]:
     """Draw Poissonian coincidence and singles counts for each setting pair.
 
     Coincidences are Poisson with mean (signal + accidental) * duration;
@@ -186,7 +237,7 @@ def simulate_counts(rho: np.ndarray, settings: list[tuple[str, str]],
     return [CountRecord(a, b, duration, n_c, n_c + extra_a, n_c + extra_b,
                         accidental_estimate=acc)
             for a, b, (n_c, extra_a, extra_b)
-            in zip(first, second, _poisson_rows(means, seed, repetition))]
+            in zip(first, second, _poisson_rows(means, seed))]
 
 
 def expected_process_counts(channel, settings: list[tuple[str, str]], rate: float,
@@ -200,14 +251,14 @@ def expected_process_counts(channel, settings: list[tuple[str, str]], rate: floa
 
 
 def simulate_process_counts(channel, settings: list[tuple[str, str]], rate: float,
-                            duration: float, seed: int, repetition: int = 0,
+                            duration: float, seed: int,
                             accidental_rate: float = 0.0) -> list[CountRecord]:
     """Poisson-sampled process-tomography records.
 
     Single-arm detection: the singles fields mirror the coincidence counts.
     """
     first, second, p = _probabilities(settings, channel=channel)
-    draws = _poisson_rows(((rate * p + accidental_rate) * duration)[:, None], seed, repetition)
+    draws = _poisson_rows(((rate * p + accidental_rate) * duration)[:, None], seed)
     acc = accidental_rate * duration
     return [CountRecord(k, m, duration, n, n, n, accidental_estimate=acc)
             for k, m, (n,) in zip(first, second, draws)]

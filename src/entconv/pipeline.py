@@ -184,17 +184,6 @@ def run_efficiency(config: ExperimentConfig, outdir: str | Path) -> dict[str, fl
     return budget
 
 
-_SUMMARY_KEYS = (
-    "chsh_s", "chsh_s_sigma",
-    "fidelity_input_raw", "fidelity_input_corrected",
-    "fidelity_output_raw", "tangle_output_raw",
-    "fidelity_output_corrected", "purity_output_corrected", "tangle_output_corrected",
-    "process_fidelity", "process_purity",
-    "observed_photon_conversion", "intrinsic_pair_conversion",
-    "theory_single_crystal_efficiency",
-)
-
-
 def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]:
     """Full pipeline: simulate, reconstruct everything, compare to references.
 
@@ -239,8 +228,8 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
     results = {label: result for label, (result, _) in fits.items()} | {"process": proc}
     unconverged = [label for label, result in results.items() if not result.converged]
     items: dict[str, object] = {"all_reconstructions_converged": not unconverged}
-    for key in _SUMMARY_KEYS:
-        items[key] = values[key]
+    for key, value in values.items():
+        items[key] = value
         items[key + "_ref"] = float(REFERENCE_VALUES[key])
     (outdir / "summary.txt").write_text(emit_keyvalues(items))
     if unconverged:

@@ -21,8 +21,9 @@ by scipy's L-BFGS-B, several (a report's point tables and resamples) at once
 by ``lbfgs.minimize_rows``, the same iteration vectorised over rows, each the
 faster on its side; the scipy fit is the reference it is tested against.
 
-Records are always fitted in canonical setting order, so the projector
-stacks and the linear-inversion design matrix are built once, at import.
+``counts.table_order`` sorts every table into canonical setting order before
+a fit, so the projector stacks and the linear-inversion design matrix are
+built once, at import.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy import optimize
 
-from .counts import CountRecord
+from .counts import CountRecord, table_order
 from .lbfgs import minimize_rows
 from .states import (MetricReport, PAULIS, PROJECTOR_LABELS, bell_state, fidelity,
                      projector, purity, tangle)
@@ -42,8 +43,6 @@ from .states import (MetricReport, PAULIS, PROJECTOR_LABELS, bell_state, fidelit
 class ReconstructionError(RuntimeError):
     """Raised when a reconstruction cannot be carried out on the given data."""
 
-
-_LABEL_INDEX = {l: i for i, l in enumerate(PROJECTOR_LABELS)}
 
 _TRIU_R, _TRIU_C = np.triu_indices(4, 1)
 
@@ -123,23 +122,6 @@ def subtract_accidentals(records: list[CountRecord]) -> list[CountRecord]:
     """
     return [replace(r, coincidences=max(0.0, r.coincidences - r.accidental_estimate))
             for r in records]
-
-
-def _canonical_order(records: list[CountRecord]) -> np.ndarray:
-    """Validate a complete 36-setting label dataset; the index of the record
-    of each canonical setting."""
-    if len(records) != 36:
-        raise ReconstructionError(f"expected 36 records, got {len(records)}")
-    by_setting = {}
-    for i, r in enumerate(records):
-        if r.setting_a not in _LABEL_INDEX or r.setting_b not in _LABEL_INDEX:
-            raise ReconstructionError(
-                f"tomography requires label settings, got ({r.setting_a!r}, {r.setting_b!r})")
-        key = (r.setting_a, r.setting_b)
-        if key in by_setting:
-            raise ReconstructionError(f"duplicate setting {key}")
-        by_setting[key] = i
-    return np.array([by_setting[s] for s in _SETTINGS])
 
 
 def _group_sums(rates: np.ndarray) -> np.ndarray:
@@ -438,7 +420,7 @@ def point_result(fit: BatchFit, kind: str) -> TomographyResult:
 def _batch_table(records: list[CountRecord], counts) -> tuple[np.ndarray, np.ndarray]:
     """Durations and (B, 36) clamped counts, both in canonical order, of the
     count rows ``counts`` given in the order of ``records``."""
-    order = _canonical_order(records)
+    order = table_order(records, _SETTINGS)
     durations = np.array([records[i].duration for i in order])
     return durations, np.maximum(np.asarray(counts, dtype=float)[:, order], 0.0)
 
@@ -486,7 +468,7 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
     Hermitian operator basis. Used as an independent cross-check on the
     likelihood fit, which starts from the same inversion.
     """
-    order = _canonical_order(records)
+    order = table_order(records, _SETTINGS)
     rates = np.array([[records[i].coincidences / records[i].duration for i in order]])
     rho, first_empty = _inversion(rates)
     if first_empty[0] >= 0:
@@ -567,21 +549,19 @@ def tp_violation(chi: np.ndarray) -> float:
     return float(np.max(np.abs(acc - np.eye(2))))
 
 
-def check_chi_matrix(chi: np.ndarray, require_tp: bool = False,
-                     herm_tol: float = 1e-10, eig_tol: float = 1e-10,
-                     tp_tol: float = 1e-6) -> np.ndarray:
-    """Validate Hermiticity, positivity, trace range and optionally TP."""
+def check_chi_matrix(chi: np.ndarray, require_tp: bool = False) -> np.ndarray:
+    """Validate Hermiticity and positivity to 1e-10, the trace range and optionally TP to 1e-6."""
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError("chi matrix must be 4x4")
-    if np.max(np.abs(chi - chi.conj().T)) > herm_tol:
+    if np.max(np.abs(chi - chi.conj().T)) > 1e-10:
         raise ValueError("chi matrix not Hermitian")
-    if float(np.min(np.linalg.eigvalsh(chi))) < -eig_tol:
+    if float(np.min(np.linalg.eigvalsh(chi))) < -1e-10:
         raise ValueError("chi matrix not positive semidefinite")
     tr = float(np.real(np.trace(chi)))
     if not 0.0 < tr <= 1.0 + 1e-10:
         raise ValueError(f"chi trace {tr} outside (0, 1]")
-    if require_tp and tp_violation(chi) > tp_tol:
+    if require_tp and tp_violation(chi) > 1e-6:
         raise ValueError("chi matrix is not trace preserving")
     return chi
 

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from entconv.chsh import (ChshResult, ChshSettings, analyzer_observable, chsh_s,
-                          chsh_sigma_resampled, correlation_from_counts,
-                          correlation_from_state)
+                          chsh_sigma_resampled, correlation_from_state)
 from entconv.conversion import DetectionModel, SourceModel
 from entconv.counts import CountDataError, CountRecord, expected_counts, simulate_counts
 from entconv.states import SIGMA_X, SIGMA_Z, bell_state, ket2dm, werner_state
@@ -13,12 +12,21 @@ PHI_P = ket2dm(bell_state("phi+"))
 REFERENCE_ANGLES = ChshSettings()
 
 
-def make_group(counts, a=0.0, b=22.5, duration=1.0):
-    """Records ordered (a,b), (a',b'), (a,b'), (a',b)."""
-    angles = [(a, b), (a + 90, b + 90), (a, b + 90), (a + 90, b)]
-    return [CountRecord(repr(x % 180.0), repr(y % 180.0), duration, float(n),
-                        int(n), int(n))
-            for (x, y), n in zip(angles, counts)]
+def chsh_table(groups, settings=REFERENCE_ANGLES, duration=1.0):
+    """16 records in ``measurement_angles`` order; row k of ``groups`` holds the
+    counts of correlation k at (a,b), (a,b+90), (a+90,b), (a+90,b+90)."""
+    return [CountRecord(repr(a), repr(b), duration, float(n), int(n), int(n))
+            for (a, b), n in zip(settings.measurement_angles(), np.ravel(groups))]
+
+
+def reference_correlation(counts):
+    """E = (N_ab + N_a'b' - N_ab' - N_a'b) / N_total of one group and its
+    first-order Poisson sigma, one record at a time."""
+    signs = (1.0, -1.0, -1.0, 1.0)
+    total = sum(counts)
+    e = sum(s * n for s, n in zip(signs, counts)) / total
+    var = sum(n * (s - e) ** 2 for s, n in zip(signs, counts)) / total ** 2
+    return e, np.sqrt(var)
 
 
 class TestAnalyzerObservable:
@@ -57,33 +65,51 @@ class TestCorrelationFromState:
 
 
 class TestCorrelationFromCounts:
+    """The four correlations of ``chsh_s`` on count records, group by group."""
+
     def test_perfect_correlation(self):
-        e, sigma = correlation_from_counts(make_group([100, 100, 0, 0]))
-        assert e == 1.0
-        assert sigma == 0.0
+        result = chsh_s(REFERENCE_ANGLES, chsh_table([[100, 0, 0, 100]] * 4))
+        assert result.correlations == (1.0, 1.0, 1.0, 1.0)
+        assert result.s_value == 2.0
+        assert result.s_sigma == 0.0
 
     def test_no_correlation(self):
-        e, _ = correlation_from_counts(make_group([50, 50, 50, 50]))
-        assert e == 0.0
+        groups = [[100, 0, 0, 100], [50, 50, 50, 50], [100, 0, 0, 100], [100, 0, 0, 100]]
+        assert chsh_s(REFERENCE_ANGLES, chsh_table(groups)).correlations[1] == 0.0
 
     def test_reference_scale_counts(self):
         # counts matching phi+ at (0, 22.5): E = 242/342
-        e, sigma = correlation_from_counts(make_group([146, 146, 25, 25]))
-        assert e == pytest.approx(0.7076, abs=5e-5)
-        assert sigma > 0
+        result = chsh_s(REFERENCE_ANGLES, chsh_table([[146, 25, 25, 146]] * 4))
+        assert result.correlations[0] == pytest.approx(0.7076, abs=5e-5)
+        assert result.s_sigma > 0
+
+    def test_each_group_matches_reference_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            groups = rng.integers(0, 500, size=(4, 4))
+            groups[:, 0] += 1
+            records = chsh_table(groups)
+            result = chsh_s(REFERENCE_ANGLES, [records[i] for i in rng.permutation(16)])
+            refs = [reference_correlation(g.tolist()) for g in groups]
+            assert result.correlations == pytest.approx([e for e, _ in refs], rel=1e-12)
+            assert result.s_sigma == pytest.approx(
+                np.sqrt(sum(sig ** 2 for _, sig in refs)), rel=1e-12)
 
     def test_zero_total_rejected(self):
+        groups = [[100, 0, 0, 100], [0, 0, 0, 0], [100, 0, 0, 100], [100, 0, 0, 100]]
         with pytest.raises(CountDataError, match="zero total"):
-            correlation_from_counts(make_group([0, 0, 0, 0]))
+            chsh_s(REFERENCE_ANGLES, chsh_table(groups))
 
     def test_wrong_group_size(self):
-        with pytest.raises(ValueError, match="4 records"):
-            correlation_from_counts(make_group([1, 1, 1, 1])[:3])
+        records = chsh_table([[1, 1, 1, 1]] * 4)
+        for table in (records[:15], records + records[:1]):
+            with pytest.raises(CountDataError, match="16 records"):
+                chsh_s(REFERENCE_ANGLES, table)
 
     def test_label_settings_rejected(self):
-        recs = [CountRecord("H", "V", 1.0, 1.0, 1, 1)] * 4
-        with pytest.raises(ValueError, match="angle"):
-            correlation_from_counts(recs)
+        recs = [CountRecord("H", "V", 1.0, 1.0, 1, 1)] * 16
+        with pytest.raises(CountDataError, match="angle"):
+            chsh_s(REFERENCE_ANGLES, recs)
 
 
 def noiseless_chsh_records(rho, settings=REFERENCE_ANGLES, rate=15.0, duration=100.0):
@@ -119,7 +145,7 @@ class TestChshS:
 
     def test_missing_record_rejected(self):
         records = noiseless_chsh_records(PHI_P)[:-1]
-        with pytest.raises(ValueError, match="16 records"):
+        with pytest.raises(CountDataError, match="16 records"):
             chsh_s(REFERENCE_ANGLES, records)
 
     def test_tsirelson_bound_random_states_and_settings(self):

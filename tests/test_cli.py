@@ -1,4 +1,5 @@
 """CLI and pipeline tests (small Monte-Carlo sizes to stay fast)."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -216,3 +217,27 @@ def test_chsh_group_without_counts_exits_5(tmp_path, capsys):
     code = main(["--config", str(path), "--out", str(tmp_path / "out"), "report"])
     assert code == 5
     assert "zero total counts in correlation group" in capsys.readouterr().err
+
+
+def _edit_table(path, edit):
+    write_counts_csv(path, edit(read_counts_csv(path)))
+
+
+@pytest.mark.parametrize("command, table, edit, message", [
+    ("chsh", "chsh", lambda recs: recs[:15], "expected 16 records, got 15"),
+    ("chsh", "chsh", lambda recs: recs[:3] + recs[2:15],
+     r"record 4 \(.*\): duplicate setting pair"),
+    ("reconstruct-state", "state_output", lambda recs: recs[:1] + recs[:1] + recs[2:],
+     r"record 2 \(H, H\): duplicate setting pair"),
+    ("chsh", "state_output", lambda recs: recs, "expected 16 records, got 36"),
+])
+def test_count_table_layout_fault_exits_5(tmp_path, config_path, capsys, command, table,
+                                          edit, message):
+    out = tmp_path / "out"
+    main(["--config", str(config_path), "--out", str(out), "simulate"])
+    path = out / COUNT_FILES[table]
+    _edit_table(path, edit)
+    code = main(["--config", str(config_path), "--out", str(out), command,
+                 "--counts", str(path)])
+    assert code == 5
+    assert re.search(message, capsys.readouterr().err)

@@ -1,5 +1,4 @@
 """Round-trip tests for report serialization and the INI configuration."""
-import string
 import tempfile
 from dataclasses import fields, is_dataclass
 from functools import reduce
@@ -79,7 +78,6 @@ channels = st.builds(ConversionParams, eta_h=st.floats(1e-3, 1.0), eta_v=unit,
 detections = st.builds(DetectionModel, det_eff_810=unit, det_eff_532=unit,
                        conversion_eff=unit, coinc_window=positive,
                        singles_rate_a=non_negative, singles_rate_b=non_negative)
-stage_names = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8)
 configs = st.builds(
     ExperimentConfig,
     seed=st.integers(0, 2 ** 64),
@@ -89,9 +87,8 @@ configs = st.builds(
         st.builds(SourceModel, kind=st.just("custom"), pair_rate=non_negative,
                   state=st.integers(0, 2 ** 32 - 1).map(random_density_matrix))),
     conversion=channels,
-    detection=st.tuples(st.dictionaries(stage_names, detections, max_size=3),
-                        detections, detections, detections).map(
-        lambda t: {**t[0], "input": t[1], "output": t[2], "chsh": t[3]}),
+    detection=st.fixed_dictionaries({"input": detections, "output": detections,
+                                     "chsh": detections}),
     acquisition=st.builds(Acquisition, input_duration=positive, output_duration=positive,
                           process_duration=positive, chsh_duration=positive),
     chsh=st.builds(ChshSettings, alpha=angles, alpha_prime=angles, beta=angles,
@@ -313,6 +310,10 @@ class TestConfig:
         ("singles_rate_b_cps = 0.0", "singles_rate_b_cps = 0.0\nsingles_rate_c_cps = 0.0",
          r"unknown key \[detection.chsh\] singles_rate_c_cps"),
         ("[chsh]", "[chsh_settings]", r"unknown section \[chsh_settings\]"),
+        ("[detection.output]", "[detection.outptu]", r"unknown detection stage 'outptu'"),
+        ("[acquisition]", "[detection.outptu]\n" + "".join(
+            f"{key} = 0.5\n" for key, _ in DETECTION_KEYS) + "\n[acquisition]",
+         r"unknown detection stage 'outptu'"),
         ("seed = 103", "seed = -1", "seed must be >= 0"),
         ("dephase = 0.99065", "dephase = 1.4", r"\[conversion\] dephase must be in \[0, 1\]"),
         ("dephase = 0.98529183", "dephase = 1.4", r"\[process\] dephase must be in \[0, 1\]"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entconv.chsh import chsh_s, chsh_sigma_resampled
 from entconv.config import default_config
 from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, convert,
                                 convert_qubit, source_state)
@@ -13,9 +14,9 @@ from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, expected_co
                             expected_process_counts, joint_projector, parse_setting,
                             poisson_resamples, read_counts_csv, setting_projector,
                             simulate_counts, simulate_process_counts, stage_seed, substream,
-                            write_counts_csv)
+                            table_order, write_counts_csv)
 from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
-from entconv.tomography import tomography_settings
+from entconv.tomography import linear_inversion_state, tomography_settings
 
 PHI_P = ket2dm(bell_state("phi+"))
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=15.0)
@@ -71,12 +72,6 @@ class TestSimulateCounts:
         b = simulate_counts(PHI_P, settings, SRC, DET, 100.0, seed=5)
         assert a == b
 
-    def test_repetitions_differ(self):
-        settings = [("H", "H")] * 4
-        a = simulate_counts(PHI_P, settings, SRC, DET, 100.0, seed=5, repetition=0)
-        b = simulate_counts(PHI_P, settings, SRC, DET, 100.0, seed=5, repetition=1)
-        assert any(x.coincidences != y.coincidences for x, y in zip(a, b))
-
     def test_orthogonal_setting_samples_zero(self):
         recs = simulate_counts(PHI_P, [("H", "V")], SRC, DET, 100.0, seed=1)
         assert recs[0].coincidences == 0
@@ -91,15 +86,14 @@ class TestSimulateCounts:
                 assert r.coincidences <= min(r.singles_a, r.singles_b)
 
     def test_sample_mean_matches_rate(self):
-        # 200 repetitions at a fixed stream: empirical mean within
-        # 5 sigma / sqrt(200) of the analytic rate
+        # 200 seeds: empirical mean within 5 sigma / sqrt(200) of the
+        # analytic rate
         det = DetectionModel(singles_rate_a=1000.0, singles_rate_b=1000.0)
         settings = [("H", "H"), ("D", "A"), ("R", "R"), ("H", "D")]
         sums = np.zeros(len(settings))
         n_rep = 200
-        for rep in range(n_rep):
-            recs = simulate_counts(PHI_P, settings, SRC, det, 100.0,
-                                   seed=77, repetition=rep)
+        for seed in range(n_rep):
+            recs = simulate_counts(PHI_P, settings, SRC, det, 100.0, seed=seed)
             sums += [r.coincidences for r in recs]
         means = sums / n_rep
         expect = np.array([r.coincidences
@@ -234,12 +228,12 @@ def legacy_expected_counts(rho, settings, source, det, duration):
     return out
 
 
-def legacy_simulate_counts(rho, settings, source, det, duration, seed, repetition=0):
+def legacy_simulate_counts(rho, settings, source, det, duration, seed):
     acc_rate = det.accidental_rate
     records = []
     for i, (a, b) in enumerate(settings):
         a, b = str(a), str(b)
-        rng = substream(seed, i, repetition)
+        rng = substream(seed, i, 0)
         mean_c = (legacy_coincidence_rate(rho, a, b, source, det) + acc_rate) * duration
         n_c = int(rng.poisson(mean_c))
         extra_a = det.singles_rate_a * duration - mean_c
@@ -268,11 +262,11 @@ def legacy_expected_process_counts(channel, settings, rate, duration, accidental
     return out
 
 
-def legacy_simulate_process_counts(channel, settings, rate, duration, seed, repetition=0,
+def legacy_simulate_process_counts(channel, settings, rate, duration, seed,
                                    accidental_rate=0.0):
     records = []
     for i, (k, m) in enumerate(settings):
-        rng = substream(seed, i, repetition)
+        rng = substream(seed, i, 0)
         mean = (legacy_process_rate(channel, str(k), str(m), rate) + accidental_rate) * duration
         n = int(rng.poisson(mean))
         records.append(CountRecord(str(k), str(m), duration, n, n, n,
@@ -349,8 +343,7 @@ class TestBatchedGeneratorMatchesPerRecordLoops:
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_converted_states_with_accidentals(self, channel):
         """The conversion channel on the pair source, with singles high enough
-        for a nonzero accidental rate, label and CHSH-angle settings, and a
-        repetition other than 0."""
+        for a nonzero accidental rate, and label and CHSH-angle settings."""
         config = default_config()
         try:
             rho, _ = convert(source_state(config.source), channel)
@@ -359,11 +352,8 @@ class TestBatchedGeneratorMatchesPerRecordLoops:
         det = DetectionModel(det_eff_810=0.4, det_eff_532=0.3, conversion_eff=0.5,
                              coinc_window=1e-6, singles_rate_a=9e3, singles_rate_b=4e3)
         for settings_ in (LABEL_SETTINGS, CHSH_SETTINGS, [("H", 22.5), (-10.0, "R")]):
-            for repetition in (0, 3):
-                assert field_reprs(simulate_counts(rho, settings_, config.source, det, 20.0,
-                                                   9, repetition)) == \
-                    field_reprs(legacy_simulate_counts(rho, settings_, config.source, det,
-                                                       20.0, 9, repetition))
+            assert field_reprs(simulate_counts(rho, settings_, config.source, det, 20.0, 9)) == \
+                field_reprs(legacy_simulate_counts(rho, settings_, config.source, det, 20.0, 9))
             assert field_reprs(expected_counts(rho, settings_, config.source, det, 20.0)) == \
                 field_reprs(legacy_expected_counts(rho, settings_, config.source, det, 20.0))
 
@@ -405,3 +395,93 @@ def test_csv_round_trip_property(tmp_path_factory, records):
     write_counts_csv(path, records)
     back = read_counts_csv(path)
     assert field_reprs(back) == field_reprs(records)
+
+
+def rec(a, b, n=1.0):
+    return CountRecord(a, b, 1.0, n, 1, 1)
+
+
+class TestTableOrder:
+    def test_labels_in_settings_order(self):
+        settings_ = tomography_settings()
+        records = [rec(a, b) for a, b in reversed(settings_)]
+        assert table_order(records, settings_).tolist() == list(range(35, -1, -1))
+
+    def test_angles_match_modulo_180(self):
+        records = [rec("202.5", "-90.0"), rec("0.0000000001", "45.0")]
+        assert table_order(records, [(0.0, 45.0), (22.5, 90.0)]).tolist() == [1, 0]
+
+    def test_repeated_pair_takes_records_in_file_order(self):
+        records = [rec("H", "H", 1.0), rec("V", "V"), rec("H", "H", 2.0)]
+        assert table_order(records, [("H", "H"), ("H", "H"), ("V", "V")]).tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("records, message", [
+        ([rec("H", "H")], "expected 2 records, got 1"),
+        ([rec("H", "H")] * 3, "expected 2 records, got 3"),
+        ([rec("H", "H"), rec("H", "H")], r"record 2 \(H, H\): duplicate setting pair"),
+        ([rec("H", "H"), rec("22.5", "V")],
+         r"record 2 \(22.5, V\): no such pair among the label settings"),
+        ([rec("H", "H"), rec("V", "Q")], r"record 2 \(V, Q\): no such pair"),
+        ([rec("H", "V"), rec("H", "H")], r"record 1 \(H, V\): no such pair"),
+    ])
+    def test_layout_faults_name_the_record(self, records, message):
+        with pytest.raises(CountDataError, match=message):
+            table_order(records, [("H", "H"), ("V", "V")])
+
+    def test_angle_table_rejects_labels_and_unknown_angles(self):
+        with pytest.raises(CountDataError, match="no such pair among the angle settings"):
+            table_order([rec("H", "0.0")], [(0.0, 0.0)])
+        with pytest.raises(CountDataError, match="no such pair"):
+            table_order([rec("0.001", "0.0")], [(0.0, 0.0)])
+
+
+CHSH = default_config().chsh
+
+
+def layout_tables(make):
+    """A CHSH table and a state-tomography table from ``make`` (a simulator
+    with its seed bound, or the noise-free table)."""
+    src = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
+    return (make(werner_state(0.925), CHSH_SETTINGS, src, DET, 100.0),
+            make(werner_state(0.8), LABEL_SETTINGS, src, DET, 10.0))
+
+
+LAYOUT_TABLES = [layout_tables(lambda *args: simulate_counts(*args, 8)),
+                 layout_tables(expected_counts)]
+
+
+def layout_faults(table, data):
+    """``table`` less one record, with one record twice, and with one record
+    in place of another."""
+    i = data.draw(st.integers(0, len(table) - 1))
+    j = data.draw(st.integers(0, len(table) - 2))
+    j += j >= i
+    replaced = list(table)
+    replaced[j] = table[i]
+    return [table[:i] + table[i + 1:], table + [table[i]], replaced]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LAYOUT_TABLES), st.data())
+def test_record_order_never_changes_a_result(tables, data):
+    chsh_table, state_table = tables
+    shuffled = data.draw(st.permutations(chsh_table))
+    assert repr(chsh_s(CHSH, shuffled)) == repr(chsh_s(CHSH, chsh_table))
+    assert repr(chsh_sigma_resampled(CHSH, shuffled, 20, 1)) == \
+        repr(chsh_sigma_resampled(CHSH, chsh_table, 20, 1))
+    assert linear_inversion_state(data.draw(st.permutations(state_table))).tobytes() == \
+        linear_inversion_state(state_table).tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(LAYOUT_TABLES), st.data())
+def test_dropped_or_duplicated_record_raises(tables, data):
+    chsh_table, state_table = tables
+    for bad in layout_faults(chsh_table, data):
+        with pytest.raises(CountDataError):
+            chsh_s(CHSH, bad)
+        with pytest.raises(CountDataError):
+            chsh_sigma_resampled(CHSH, bad, 20, 1)
+    for bad in layout_faults(state_table, data):
+        with pytest.raises(CountDataError):
+            linear_inversion_state(bad)

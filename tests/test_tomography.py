@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
-from entconv.counts import (CountRecord, expected_counts, expected_process_counts,
-                            poisson_resamples, simulate_counts, simulate_process_counts)
+from entconv.counts import (CountDataError, CountRecord, expected_counts,
+                            expected_process_counts, poisson_resamples, simulate_counts,
+                            simulate_process_counts)
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
                             ket2dm, projector, trace_distance, werner_state)
 from entconv.tomography import (ReconstructionError, chi_to_transfer,
@@ -113,13 +114,13 @@ class TestLinearInversion:
 
     def test_incomplete_data_rejected(self):
         recs = noiseless_records(np.eye(4) / 4)[:-1]
-        with pytest.raises(ReconstructionError, match="36"):
+        with pytest.raises(CountDataError, match="36"):
             linear_inversion_state(recs)
 
     def test_duplicate_setting_rejected(self):
         recs = noiseless_records(np.eye(4) / 4)
         recs[1] = CountRecord("H", "H", recs[1].duration, 1.0, 1, 1)
-        with pytest.raises(ReconstructionError, match="duplicate"):
+        with pytest.raises(CountDataError, match="duplicate"):
             linear_inversion_state(recs)
 
 
@@ -187,7 +188,7 @@ class TestMleState:
 
     def test_angle_settings_rejected(self):
         recs = [CountRecord("22.5", "0.0", 1.0, 1.0, 1, 1)] * 36
-        with pytest.raises(ReconstructionError, match="label"):
+        with pytest.raises(CountDataError, match="label"):
             mle_state(recs)
 
 
