@@ -6,8 +6,7 @@ stack used to certify the entanglement transfer: CHSH Bell analysis,
 maximum-likelihood state and process tomography, and Monte-Carlo error bars.
 """
 
-from .chsh import (ChshResult, ChshSettings, analyzer_observable, chsh_s,
-                   correlation_from_state)
+from .chsh import ChshResult, ChshSettings, chsh_s
 from .config import ExperimentConfig, default_config, load_config, save_config
 from .conversion import (BudgetInputs, ConversionError, ConversionParams,
                          DetectionModel, EfficiencyParams, SourceModel, convert,
@@ -21,7 +20,7 @@ from .states import (MetricReport, PAULIS, bell_state, concurrence, fidelity, pr
 from .tomography import (BatchFit, MonteCarloErrors, ReconstructionError,
                          TomographyOptions, TomographyResult, check_chi_matrix,
                          identity_chi, linear_inversion_state, mle_process, mle_state,
-                         mle_tables, monte_carlo_errors, process_fidelity, process_purity,
-                         subtract_accidentals, tomography_settings)
+                         mle_tables, monte_carlo_errors, subtract_accidentals,
+                         tomography_settings)
 
 __version__ = "0.1.0"

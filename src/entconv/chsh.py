@@ -1,10 +1,10 @@
 """CHSH Bell-parameter analysis from states and from coincidence counts.
 
 The measured combination is S = E(a,b) - E(a,b') + E(a',b) + E(a',b') with
-polarization correlations E along analyzer angles in degrees. From count
-data each correlation uses the four orthogonal-outcome settings
-(a,b), (a,b+90), (a+90,b), (a+90,b+90), with outcome signs (+1, -1, -1, +1),
-and first-order Poisson error propagation.
+polarization correlations E along analyzer angles in degrees. Each uses the
+four orthogonal-outcome settings (a,b), (a,b+90), (a+90,b), (a+90,b+90) with
+outcome signs (+1, -1, -1, +1): count data with first-order Poisson errors, a
+state by its detection probabilities, the noiseless limit of the counts.
 """
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import CountDataError, CountRecord, poisson_resamples, table_order
-from .states import SIGMA_X, SIGMA_Z, check_density_matrix
+from .counts import (CountDataError, CountRecord, _probabilities, poisson_resamples,
+                     table_order)
+from .states import check_density_matrix
 
 
 @dataclass
@@ -59,22 +60,6 @@ class ChshResult:
                 raise ValueError(f"correlation {e} outside [-1, 1]")
 
 
-def analyzer_observable(angle_deg: float) -> np.ndarray:
-    """+-1-valued polarization observable cos(2t) Z + sin(2t) X."""
-    t = np.radians(angle_deg)
-    return np.cos(2 * t) * SIGMA_Z + np.sin(2 * t) * SIGMA_X
-
-
-def correlation_from_state(rho: np.ndarray, a_deg: float, b_deg: float) -> float:
-    """E(a, b) = Tr[rho (A(a) x A(b))]."""
-    rho = check_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("correlation requires a two-qubit state")
-    obs = np.kron(analyzer_observable(a_deg), analyzer_observable(b_deg))
-    e = float(np.real(np.trace(rho @ obs)))
-    return min(max(e, -1.0), 1.0)
-
-
 #: Outcome sign of a correlation's four settings in ``measurement_angles``
 #: order: (a,b), (a,b+90), (a+90,b), (a+90,b+90).
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -103,12 +88,14 @@ def chsh_s(settings: ChshSettings,
 
     Count records are matched to ``measurement_angles`` by ``table_order``,
     so their order in the file does not matter; the S error is the
-    root-sum-square of the four correlation sigmas.
+    root-sum-square of the four correlation sigmas, and zero for a state.
     """
     if isinstance(source, np.ndarray):
-        corr = np.array([correlation_from_state(source, a, b)
-                         for a, b in settings.correlation_pairs()])
-        sig = np.zeros(4)
+        rho = check_density_matrix(source)
+        if rho.shape != (4, 4):
+            raise ValueError("correlation requires a two-qubit state")
+        p = _probabilities(settings.measurement_angles(), rho)[2]
+        corr, sig = _correlations(p.reshape(4, 4))[0], np.zeros(4)
     else:
         corr, sig = _correlations(_table_counts(settings, source).reshape(4, 4))
     s_value = corr[0] - corr[1] + corr[2] + corr[3]

@@ -68,8 +68,8 @@ class Acquisition:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"{f.name} must be > 0")
+            if not 0.0 < getattr(self, f.name) < np.inf:
+                raise ValueError(f"{f.name} must be finite and > 0")
 
 
 @dataclass
@@ -82,8 +82,10 @@ class ProcessStage:
     accidental_rate: float = 0.0    # cps per setting
 
     def __post_init__(self):
-        if self.rate <= 0.0 or self.accidental_rate < 0.0:
-            raise ValueError("process rate must be > 0 and accidental_rate >= 0")
+        if not 0.0 < self.rate < np.inf:
+            raise ValueError("process rate must be > 0 and finite")
+        if not 0.0 <= self.accidental_rate < np.inf:
+            raise ValueError("accidental_rate must be finite and >= 0")
 
 
 @dataclass
@@ -239,12 +241,12 @@ def _parse(cp: configparser.ConfigParser, section: str, key: str, kind: type):
     return value
 
 
-def _checked(section: str, cls: type, kwargs: dict):
-    """cls(**kwargs); a failed range check names the INI section it came from."""
+def _checked(where: str, fn, **kwargs):
+    """fn(**kwargs); a failed check names ``where`` in the INI file it came from."""
     try:
-        return cls(**kwargs)
+        return fn(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        raise ConfigError(f"{where} {exc}") from None
 
 
 def _build(cls: type, prefix: str, values: dict):
@@ -257,7 +259,8 @@ def _build(cls: type, prefix: str, values: dict):
             kwargs[name] = _build(kind, f"{prefix}{name}.", values)
     if not prefix:  # ExperimentConfig's own checks name their keys
         return cls(**kwargs)
-    return _checked(next(f.section for f in FIELDS if f.path.startswith(prefix)), cls, kwargs)
+    section = next(f.section for f in FIELDS if f.path.startswith(prefix))
+    return _checked(f"[{section}]", cls, **kwargs)
 
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
@@ -309,7 +312,7 @@ def _from_ini(cp: configparser.ConfigParser) -> ExperimentConfig:
             if retired is None and key not in allowed:
                 raise ConfigError(f"unknown key [{section}] {key}")
         if stage is not None:
-            values["detection"][stage] = _checked(section, DetectionModel, {
+            values["detection"][stage] = _checked(f"[{section}]", DetectionModel, **{
                 name: _parse(cp, section, key, float) for key, name in DETECTION_KEYS})
     for f in FIELDS:
         if cp.has_option(f.section, f.key) or not f.optional:
@@ -317,5 +320,6 @@ def _from_ini(cp: configparser.ConfigParser) -> ExperimentConfig:
     if values["source.kind"] == "werner":
         values["source.p"] = _parse(cp, "source", "p", float)
     elif values["source.kind"] == "custom":
-        values["source.state"] = check_density_matrix(parse_matrix(cp.get("source", "state")))
+        values["source.state"] = _checked("[source] state:", check_density_matrix,
+                                          rho=parse_matrix(cp.get("source", "state")))
     return _build(ExperimentConfig, "", values)

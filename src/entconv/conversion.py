@@ -33,12 +33,15 @@ class ConversionParams:
     dephase: float = 1.0        # coherence retention in [0, 1]
 
     def __post_init__(self):
-        if not (0.0 <= self.eta_h <= 1.0 and 0.0 <= self.eta_v <= 1.0):
-            raise ValueError("conversion efficiencies must be in [0, 1]")
+        for name in ("eta_h", "eta_v"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.eta_h ** 2 + self.eta_v ** 2 <= 0.0:
             raise ValueError("at least one conversion efficiency must be nonzero")
         if not 0.0 <= self.dephase <= 1.0:
             raise ValueError("dephase must be in [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
     def kraus(self) -> np.ndarray:
         """Single-qubit conversion operator K = diag(eta_h, eta_v e^{-i theta})."""
@@ -57,8 +60,8 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in ("werner", "custom"):
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.pair_rate < 0.0:
-            raise ValueError("pair_rate must be >= 0")
+        if not 0.0 <= self.pair_rate < math.inf:
+            raise ValueError("pair_rate must be finite and >= 0")
 
 
 @dataclass
@@ -77,10 +80,11 @@ class DetectionModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.coinc_window <= 0.0:
-            raise ValueError("coinc_window must be > 0")
-        if self.singles_rate_a < 0.0 or self.singles_rate_b < 0.0:
-            raise ValueError("singles rates must be >= 0")
+        if not 0.0 < self.coinc_window < math.inf:
+            raise ValueError("coinc_window must be finite and > 0")
+        for name in ("singles_rate_a", "singles_rate_b"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @property
     def accidental_rate(self) -> float:
@@ -105,8 +109,8 @@ class EfficiencyParams:
     def __post_init__(self):
         for name in ("pump_power", "lambda_1", "lambda_2", "lambda_p",
                      "n_1", "n_2", "d_eff", "crystal_length", "h_m"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 def source_state(model: SourceModel) -> np.ndarray:
@@ -118,36 +122,27 @@ def source_state(model: SourceModel) -> np.ndarray:
     return check_density_matrix(model.state)
 
 
-def _dephase_second_qubit(rho: np.ndarray, factor: float) -> np.ndarray:
-    """Damp every coherence between H and V of the second qubit by ``factor``."""
-    out = rho.copy()
-    idx = np.arange(rho.shape[0])
-    mask = (idx[:, None] % 2) != (idx[None, :] % 2)
-    out[mask] *= factor
-    return out
-
-
 def convert(rho_in: np.ndarray, params: ConversionParams) -> tuple[np.ndarray, float]:
     """Apply the conversion channel to the second qubit of a two-qubit state.
 
-    Returns the renormalized output state and the success probability
-    Tr[(I x K^dag K) rho_in]. Raises ConversionError when the input has no
-    support on the converted subspace.
+    ``convert_qubit`` maps each of the four 2x2 blocks of rho_in. Returns the
+    renormalized output state and the success probability Tr[(I x K^dag K)
+    rho_in]. Raises ConversionError when the input has no support on the
+    converted subspace.
     """
     rho_in = check_density_matrix(np.asarray(rho_in, dtype=complex))
     if rho_in.shape != (4, 4):
         raise ValueError("convert expects a two-qubit state")
-    k2 = np.kron(np.eye(2, dtype=complex), params.kraus())
-    raw = k2 @ rho_in @ k2.conj().T
+    raw = convert_qubit(rho_in.reshape(2, 2, 2, 2).swapaxes(1, 2), params)
+    raw = raw.swapaxes(1, 2).reshape(4, 4)
     success = float(np.real(np.trace(raw)))
     if success <= 1e-15:
         raise ConversionError("conversion channel has zero success probability on this input")
-    damped = _dephase_second_qubit(raw, params.dephase)
-    return damped / success, success
+    return raw / success, success
 
 
 def convert_qubit(rho: np.ndarray, params: ConversionParams) -> np.ndarray:
-    """Un-normalized single-qubit conversion map K rho K^dag with dephasing.
+    """Un-normalized single-qubit conversion map K rho K^dag with dephasing, per 2x2 matrix.
 
     The trace of the output is the conversion probability; callers that need
     a normalized state divide by it.
@@ -155,8 +150,8 @@ def convert_qubit(rho: np.ndarray, params: ConversionParams) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     k = params.kraus()
     out = k @ rho @ k.conj().T
-    out[0, 1] *= params.dephase
-    out[1, 0] *= params.dephase
+    out[..., 0, 1] *= params.dephase
+    out[..., 1, 0] *= params.dephase
     return out
 
 
@@ -276,8 +271,8 @@ class BudgetInputs:
     def __post_init__(self):
         for name in ("power_in", "power_out", "lambda_in", "lambda_out",
                      "pair_rate_in", "pair_rate_converted"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 <= self.optical_loss < 1.0:
             raise ValueError("optical_loss must be in [0, 1)")
         if not 0.0 < self.fiber_coupling <= 1.0:

@@ -79,7 +79,7 @@ def werner_state(p: float) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
                          eig_tol: float = 1e-10, trace_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace of a density matrix.
+    """Validate finite entries, Hermiticity, positivity and unit trace of a density matrix.
 
     Returns the matrix as a complex array; raises ValueError with the failed
     property otherwise. Dimensions 2 and 4 are accepted.
@@ -87,6 +87,8 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has a non-finite entry")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > herm_tol:
         raise ValueError(f"matrix not Hermitian: max asymmetry {herm:.3e}")

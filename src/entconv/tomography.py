@@ -141,8 +141,8 @@ class TomographyOptions:
     rel_tol: float = 1e-10          # relative log-likelihood increment
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.rel_tol <= 0.0:
-            raise ValueError("max_iters must be >= 1 and rel_tol > 0")
+        if not (self.max_iters >= 1 and 0.0 < self.rel_tol < np.inf):
+            raise ValueError("max_iters must be >= 1 and rel_tol finite and > 0")
 
 
 @dataclass
@@ -499,11 +499,9 @@ def mle_state(records: list[CountRecord],
 
 def _chi_basis_matrix() -> np.ndarray:
     """Column 4m+n holds vec(sigma_n^T x sigma_m) (column-major vec)."""
-    cmat = np.zeros((16, 16), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            cmat[:, 4 * m + n] = np.kron(PAULIS[n].T, PAULIS[m]).reshape(-1, order="F")
-    return cmat
+    p = np.array(PAULIS)
+    kron = p.transpose(0, 2, 1)[:, None, :, None, :, None] * p[None, :, None, :, None, :]
+    return kron.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16).T
 
 
 _CHI_BASIS = _chi_basis_matrix()
@@ -513,15 +511,25 @@ _CHI_BASIS_INV = np.linalg.inv(_CHI_BASIS)
 _PROCESS_START = np.concatenate([[1.0, 1.0, 0.05, 0.05], np.zeros(12)])
 
 
+def _chi_of_choi(j: np.ndarray) -> np.ndarray:
+    """Hermitian chi matrices (Pauli basis) of a (B, 4, 4) stack of Choi matrices
+    J[2 o1 + i, 2 o2 + j] = E(|i><j|)[o1, o2]: the column-major vecs of the
+    E(|i><j|), stacked over the input basis, in the Pauli-product basis."""
+    vec = j.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 2, 3, 1).reshape(-1, 16)
+    chi = (vec @ _CHI_BASIS_INV.T).reshape(-1, 4, 4)
+    return (chi + _dag(chi)) / 2.0
+
+
+def _choi_of_chi(chi: np.ndarray) -> np.ndarray:
+    """Choi matrices of a chi matrix or a stack: ``_chi_of_choi`` inverted."""
+    vec = np.asarray(chi, dtype=complex).reshape(-1, 16) @ _CHI_BASIS.T
+    return vec.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 2, 3, 1).reshape(-1, 4, 4)
+
+
 def channel_chi(apply_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Chi matrix (Pauli basis) of a linear single-qubit map."""
-    smat = np.zeros((4, 4), dtype=complex)
-    for j in range(2):
-        for i in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            smat[:, 2 * j + i] = apply_fn(e).reshape(-1, order="F")
-    return (_CHI_BASIS_INV @ smat.reshape(-1, order="F")).reshape(4, 4)
+    """Chi matrix (Pauli basis) of a linear single-qubit map, via its Choi matrix."""
+    images = np.array([apply_fn(e) for e in np.eye(4, dtype=complex).reshape(4, 2, 2)])
+    return _chi_of_choi(images.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1))[0]
 
 
 def identity_chi() -> np.ndarray:
@@ -531,22 +539,14 @@ def identity_chi() -> np.ndarray:
 
 def chi_to_transfer(chi: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Return the map rho -> sum_mn chi_mn sigma_m rho sigma_n."""
-    def apply(rho):
-        out = np.zeros((2, 2), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                out += chi[m, n] * PAULIS[m] @ rho @ PAULIS[n]
-        return out
-    return apply
+    choi = _choi_of_chi(chi).reshape(2, 2, 2, 2)
+    return lambda rho: np.einsum("aibj,...ij->...ab", choi, rho)
 
 
 def tp_violation(chi: np.ndarray) -> float:
-    """Max deviation of sum_mn chi_mn sigma_n sigma_m from the identity."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            acc += chi[m, n] * PAULIS[n] @ PAULIS[m]
-    return float(np.max(np.abs(acc - np.eye(2))))
+    """Largest entry of |Tr_out J - I| for the Choi matrix J of ``chi``."""
+    choi = _choi_of_chi(chi).reshape(2, 2, 2, 2)
+    return float(np.max(np.abs(np.einsum("aiaj->ij", choi) - np.eye(2))))
 
 
 def check_chi_matrix(chi: np.ndarray, require_tp: bool = False) -> np.ndarray:
@@ -567,16 +567,9 @@ def check_chi_matrix(chi: np.ndarray, require_tp: bool = False) -> np.ndarray:
 
 
 def _chi_of_params(t: np.ndarray) -> np.ndarray:
-    """Chi matrices of the retracted Choi matrices of (B, 16) Choi-factor parameters.
-
-    E(|i><j|)[o1, o2] = J[2 o1 + i, 2 o2 + j]; its column-major vec, stacked
-    over the input basis, is the chi matrix in the Pauli-product basis.
-    """
+    """Chi matrices of the retracted Choi matrices of (B, 16) Choi-factor parameters."""
     T = _params_to_t(t)
-    j = _retraction(_dag(T) @ T)[0]
-    vec = j.reshape(-1, 2, 2, 2, 2).transpose(0, 4, 2, 3, 1).reshape(-1, 16)
-    chi = (vec @ _CHI_BASIS_INV.T).reshape(-1, 4, 4)
-    return (chi + _dag(chi)) / 2.0
+    return _chi_of_choi(_retraction(_dag(T) @ T)[0])
 
 
 def mle_process(records: list[CountRecord],
@@ -624,33 +617,18 @@ def mle_tables(kind: str, tables: list[tuple[list[CountRecord], np.ndarray]],
     return [fit.rows(end - len(r), end) for end, (_, r) in zip(ends, parts)]
 
 
-def process_fidelity(chi: np.ndarray, ideal: np.ndarray) -> float:
-    """Overlap Tr(chi chi_ideal) for a rank-1, trace-normalized ideal; per chi for a stack."""
-    return _clip01(np.real(np.trace(np.asarray(chi) @ np.asarray(ideal), axis1=-2, axis2=-1)))
-
-
-def process_purity(chi: np.ndarray) -> float:
-    """Tr(chi^2) of a trace-normalized process matrix; per chi for a stack."""
-    chi = np.asarray(chi)
-    return _clip01(np.real(np.trace(chi @ chi, axis1=-2, axis2=-1)))
-
-
-def _clip01(x):
-    """x clipped onto [0, 1]: a float for one value, an array for a stack."""
-    return min(max(float(x), 0.0), 1.0) if np.ndim(x) == 0 else np.clip(x, 0.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo error bars
 # ---------------------------------------------------------------------------
 
 #: The reported metrics of each fit kind: name -> function of one estimate,
-#: or of a stack of estimates with one value each.
+#: or of a stack of estimates with one value each. The identity channel's chi
+#: is |e0><e0| (``identity_chi``), so the process fidelity Tr(chi chi_id) is
+#: <e0|chi|e0>.
 METRICS = {
     "state": {"fidelity": lambda m: fidelity(m, bell_state("phi+")), "purity": purity,
               "tangle": tangle},
-    "process": {"fidelity": lambda m: process_fidelity(m, identity_chi()),
-                "purity": process_purity},
+    "process": {"fidelity": lambda m: fidelity(m, np.eye(4)[0]), "purity": purity},
 }
 
 

@@ -17,11 +17,10 @@ from entconv.counts import (expected_counts, expected_process_counts, poisson_re
 from entconv.pipeline import run_report, run_simulate
 from entconv.states import (bell_state, fidelity, ket2dm, purity, tangle,
                             trace_distance, werner_state)
-from entconv.tomography import (_STATE_LBFGS, TomographyOptions, _batch_table, _fit_batch,
-                                _params_of_rho, _rho_of_params, _state_problem,
+from entconv.tomography import (_STATE_LBFGS, METRICS, TomographyOptions, _batch_table,
+                                _fit_batch, _params_of_rho, _rho_of_params, _state_problem,
                                 linear_inversion_state, mle_process, mle_state,
                                 mle_tables, monte_carlo_errors,
-                                process_fidelity, process_purity, identity_chi,
                                 subtract_accidentals, tomography_settings)
 
 PHI_P = ket2dm(bell_state("phi+"))
@@ -162,11 +161,9 @@ def test_criterion_5_process_tomography():
                                       config.acquisition.process_duration,
                                       stage_seed(config.seed, "process"))
     result = mle_process(records, config.tomography)
-    ideal = identity_chi()
     counts = poisson_resamples([r.coincidences for r in records], 40, seed=505)
     mc = monte_carlo_errors(
-        mle_tables("process", [(records, counts)], config.tomography)[0],
-        {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity},
+        mle_tables("process", [(records, counts)], config.tomography)[0], METRICS["process"],
         "process")
     elapsed = time.perf_counter() - t0
 

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from entconv.chsh import (ChshResult, ChshSettings, analyzer_observable, chsh_s,
-                          chsh_sigma_resampled, correlation_from_state)
+from entconv.chsh import ChshResult, ChshSettings, chsh_s, chsh_sigma_resampled
 from entconv.conversion import DetectionModel, SourceModel
 from entconv.counts import CountDataError, CountRecord, expected_counts, simulate_counts
 from entconv.states import SIGMA_X, SIGMA_Z, bell_state, ket2dm, werner_state
@@ -29,29 +28,59 @@ def reference_correlation(counts):
     return e, np.sqrt(var)
 
 
+def analyzer_observable(angle_deg):
+    """Reference: the +-1-valued polarization observable cos(2t) Z + sin(2t) X."""
+    t = np.radians(angle_deg)
+    return np.cos(2 * t) * SIGMA_Z + np.sin(2 * t) * SIGMA_X
+
+
+def state_correlation(rho, a, b):
+    """E(a, b) of a state as ``chsh_s`` computes it: its first correlation."""
+    return chsh_s(ChshSettings(alpha=a, beta=b), rho).correlations[0]
+
+
+def product_state(a, b):
+    """|a>|b> with |t> = cos(t)|H> + sin(t)|V>, t in degrees."""
+    ta, tb = np.radians(a), np.radians(b)
+    return ket2dm(np.kron([np.cos(ta), np.sin(ta)], [np.cos(tb), np.sin(tb)]))
+
+
 class TestAnalyzerObservable:
+    """The analyzer at angle t measures cos(2t) Z + sin(2t) X: the +1 outcome
+    is |t>, the -1 outcome |t + 90>."""
+
     def test_zero_degrees(self):
-        assert np.allclose(analyzer_observable(0.0), SIGMA_Z)
+        assert state_correlation(product_state(0, 0), 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert state_correlation(product_state(0, 90), 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_forty_five_degrees(self):
-        assert np.allclose(analyzer_observable(45.0), SIGMA_X)
+        assert state_correlation(product_state(45, 45), 45.0, 45.0) == pytest.approx(
+            1.0, abs=1e-12)
+        assert state_correlation(product_state(45, 135), 45.0, 45.0) == pytest.approx(
+            -1.0, abs=1e-12)
 
     def test_intermediate_angle(self):
-        assert np.allclose(analyzer_observable(22.5), (SIGMA_Z + SIGMA_X) / np.sqrt(2))
+        # <H|(Z + X)/sqrt(2)|H> = 1/sqrt(2) on each side
+        assert state_correlation(product_state(0, 0), 22.5, 22.5) == pytest.approx(
+            0.5, abs=1e-12)
 
     def test_unit_eigenvalues(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            w = np.linalg.eigvalsh(analyzer_observable(rng.uniform(0, 180)))
-            assert np.allclose(sorted(w), [-1.0, 1.0])
+            a, b = rng.uniform(0, 90, size=2)
+            assert state_correlation(product_state(a, b), a, b) == pytest.approx(1.0, abs=1e-12)
+            assert state_correlation(product_state(a, b + 90), a, b) == pytest.approx(
+                -1.0, abs=1e-12)
 
 
 class TestCorrelationFromState:
+    """The four correlations ``chsh_s`` computes from a state."""
+
     def test_parallel_analyzers(self):
-        assert correlation_from_state(PHI_P, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert state_correlation(PHI_P, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_angle_pair(self):
-        assert correlation_from_state(PHI_P, 0.0, 22.5) == pytest.approx(
+        assert state_correlation(PHI_P, 0.0, 22.5) == pytest.approx(
             np.cos(np.radians(45.0)), abs=1e-12)
 
     def test_werner_linearity(self):
@@ -60,8 +89,40 @@ class TestCorrelationFromState:
             p = rng.uniform(0, 1)
             a, b = rng.uniform(0, 180, size=2)
             expect = p * np.cos(2 * np.radians(a - b))
-            assert correlation_from_state(werner_state(p), a, b) == pytest.approx(
-                expect, abs=1e-10)
+            assert state_correlation(werner_state(p), a, b) == pytest.approx(expect, abs=1e-10)
+
+    def test_equals_the_observable_expectation(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
+            settings = ChshSettings(*rng.uniform(0, 180, size=4).tolist())
+            ref = [np.real(np.trace(rho @ np.kron(analyzer_observable(a),
+                                                  analyzer_observable(b))))
+                   for a, b in (settings.measurement_angles()[4 * k] for k in range(4))]
+            result = chsh_s(settings, rho)
+            np.testing.assert_allclose(result.correlations, ref, rtol=0, atol=1e-12)
+            assert result.s_sigma == 0.0
+
+    def test_is_the_noiseless_limit_of_the_counts(self):
+        """A state's S is the S of its expected counts at unit rate and duration,
+        whose coincidences are the detection probabilities themselves."""
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
+            settings = ChshSettings(*rng.uniform(0, 180, size=4).tolist())
+            pairs = [(repr(a), repr(b)) for a, b in settings.measurement_angles()]
+            records = expected_counts(rho, pairs, SourceModel(pair_rate=1.0), DetectionModel(),
+                                      1.0)
+            exact, counted = chsh_s(settings, rho), chsh_s(settings, records)
+            np.testing.assert_allclose(exact.correlations, counted.correlations,
+                                       rtol=0, atol=1e-12)
+            assert exact.s_value == pytest.approx(counted.s_value, rel=0, abs=1e-12)
+
+    def test_rejects_a_one_qubit_state(self):
+        with pytest.raises(ValueError, match="two-qubit"):
+            chsh_s(REFERENCE_ANGLES, np.eye(2) / 2)
 
 
 class TestCorrelationFromCounts:

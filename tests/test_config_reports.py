@@ -322,6 +322,10 @@ class TestConfig:
          r"\[efficiency\] optical_loss must be in \[0, 1\)"),
         ("det_eff_532 = 0.5", "det_eff_532 = 1.5",
          r"\[detection.output\] det_eff_532 must be in \[0, 1\], got 1.5"),
+        ("\t0.4894971116915896 0.0 0.05321647669192113", "\tnan 0.0 0.05321647669192113",
+         r"\[source\] state: density matrix has a non-finite entry"),
+        ("0.007645419291124082 0.0", "0.007645419291124082 0.5",
+         r"\[source\] state: matrix not Hermitian"),
     ])
     def test_strict_values_and_names(self, tmp_path, old, new, message):
         text = (DATA / "default.ini").read_text()
@@ -345,3 +349,25 @@ class TestConfig:
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+#: Every float field of the model dataclasses with a range check; the INI
+#: loader rejects non-finite values before these run, the Python API does not.
+RANGE_CHECKED = [(Acquisition, f.name) for f in fields(Acquisition)] + [
+    (SourceModel, "pair_rate"), (ConversionParams, "eta_h"), (ConversionParams, "eta_v"),
+    (ConversionParams, "theta"), (ConversionParams, "dephase"),
+    (ProcessStage, "rate"), (ProcessStage, "accidental_rate"),
+    (TomographyOptions, "rel_tol")] + [
+    (DetectionModel, name) for _, name in DETECTION_KEYS] + [
+    (EfficiencyParams, f.name) for f in fields(EfficiencyParams)] + [
+    (BudgetInputs, name) for name in ("power_in", "power_out", "lambda_in", "lambda_out",
+                                      "optical_loss", "pair_rate_in", "pair_rate_converted",
+                                      "fiber_coupling")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, name", RANGE_CHECKED,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in RANGE_CHECKED])
+def test_range_checks_reject_non_finite_values(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})

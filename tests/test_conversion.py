@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 import entconv
 from entconv import conversion
+from entconv.config import default_config
 
 from entconv.conversion import (BudgetInputs, ConversionError, ConversionParams,
                                 DetectionModel, EfficiencyParams, SourceModel,
@@ -140,6 +142,57 @@ class TestConvert:
             ConversionParams(eta_h=0.0, eta_v=0.0)
         with pytest.raises(ValueError):
             ConversionParams(dephase=1.5)
+
+
+def kron_convert(rho, params):
+    """Reference: (I x K) rho (I x K)^dag with every H/V coherence of the second
+    qubit damped, renormalized, and its success probability."""
+    k2 = np.kron(np.eye(2, dtype=complex), params.kraus())
+    raw = k2 @ rho @ k2.conj().T
+    success = float(np.real(np.trace(raw)))
+    idx = np.arange(4)
+    raw[(idx[:, None] % 2) != (idx[None, :] % 2)] *= params.dephase
+    return raw / success, success
+
+
+@st.composite
+def states_and_channels(draw):
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
+    a = (x[:16] + 1j * x[16:]).reshape(4, 4)
+    rho = a @ a.conj().T + 1e-3 * np.eye(4)
+    params = ConversionParams(eta_h=draw(st.floats(0.05, 1.0)), eta_v=draw(st.floats(0.05, 1.0)),
+                              theta=draw(st.floats(0.0, 2 * np.pi)),
+                              dephase=draw(st.floats(0.0, 1.0)))
+    return rho / np.trace(rho).real, params
+
+
+class TestConvertBlocks:
+    """``convert`` applies ``convert_qubit`` to the four 2x2 blocks of the state."""
+
+    def test_default_config_bitwise(self):
+        config = default_config()
+        rho_out, success = convert(config.source.state, config.conversion)
+        ref_out, ref_success = kron_convert(config.source.state, config.conversion)
+        assert success == ref_success
+        np.testing.assert_array_equal(rho_out, ref_out)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(states_and_channels())
+    def test_matches_the_kron_formula(self, case):
+        rho, params = case
+        rho_out, success = convert(rho, params)
+        ref_out, ref_success = kron_convert(rho, params)
+        assert success == pytest.approx(ref_success, rel=1e-15)
+        assert np.max(np.abs(rho_out - ref_out)) <= 1e-15 * np.max(np.abs(ref_out))
+
+    def test_convert_qubit_on_a_stack(self):
+        rng = np.random.default_rng(14)
+        params = ConversionParams(eta_h=0.7, eta_v=0.4, theta=1.1, dephase=0.8)
+        stack = rng.normal(size=(3, 5, 2, 2)) + 1j * rng.normal(size=(3, 5, 2, 2))
+        out = convert_qubit(stack, params)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(3, 5):
+            np.testing.assert_array_equal(out[idx], convert_qubit(stack[idx], params))
 
 
 class TestConvertQubit:

@@ -16,13 +16,12 @@ from entconv.pipeline import (COUNT_FILES, _mc_seed, fit_stages, run_report,
                               run_reconstruct_process, run_reconstruct_state, run_simulate)
 from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
                             werner_state)
-from entconv.tomography import (_PROCESS_LBFGS, _PROCESS_START, _STATE_LBFGS,
+from entconv.tomography import (_PROCESS_LBFGS, _PROCESS_START, _STATE_LBFGS, METRICS,
                                 TomographyOptions, _batch_table, _chi_of_params, _fit_batch,
                                 _inversion, _params_of_rho, _process_problem, _rho_of_params,
                                 _state_problem, check_chi_matrix, identity_chi,
                                 mle_process, mle_state, mle_tables, monte_carlo_errors,
-                                process_fidelity, process_purity, subtract_accidentals,
-                                tomography_settings)
+                                subtract_accidentals, tomography_settings)
 
 SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
@@ -353,8 +352,7 @@ def test_batched_stage_agrees_with_sequential_fits(default_stage_tables, stage):
     if table == "process":
         fit = mle_tables("process", [(records, counts)], opts)[0]
         seq = [mle_process(with_counts(records, row), opts) for row in counts]
-        ideal = identity_chi()
-        metrics = {"fidelity": lambda m: process_fidelity(m, ideal), "purity": process_purity}
+        metrics = METRICS["process"]
         raw = counts
     else:
         accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
@@ -389,8 +387,8 @@ def test_metrics_on_a_stack_equal_the_per_estimate_loop(name):
     fn = {"fidelity_pure": lambda m: fidelity(m, bell_state("phi+")),
           "fidelity_mixed": lambda m: fidelity(m, target), "purity": purity,
           "concurrence": concurrence, "tangle": tangle,
-          "process_fidelity": lambda m: process_fidelity(m, identity_chi()),
-          "process_purity": process_purity}[name]
+          "process_fidelity": METRICS["process"]["fidelity"],
+          "process_purity": METRICS["process"]["purity"]}[name]
     batched = fn(stack)
     assert batched.shape == (len(stack),)
     loop = np.array([fn(m) for m in stack])
@@ -426,3 +424,19 @@ def test_stage_error_bars_equal_per_estimate_values(default_stage_tables, stage)
     assert mc.std_errors.keys() == PER_ESTIMATE_ERRORS[stage].keys()
     for name, ref in PER_ESTIMATE_ERRORS[stage].items():
         assert mc.std_errors[name] == pytest.approx(ref, rel=1e-12)
+
+
+def test_process_metrics_are_the_chi_overlap_and_purity_to_the_bit(default_stage_tables):
+    """The process stage's 101 estimates: METRICS' fidelity to the ket e0
+    equals Tr(chi chi_id) clipped onto [0, 1], and its purity Tr(chi^2), bitwise."""
+    config, tables = default_stage_tables
+    records = tables["process"]
+    counts = np.concatenate([[[r.coincidences for r in records]],
+                             resamples(records, config.mc_samples, _mc_seed(config, 1))])
+    chi = mle_tables("process", [(records, counts)], config.tomography)[0].estimates
+    assert chi.shape == (101, 4, 4)
+    overlap = np.clip(np.real(np.trace(chi @ identity_chi(), axis1=-2, axis2=-1)), 0.0, 1.0)
+    chi_purity = np.clip(np.real(np.trace(chi @ chi, axis1=-2, axis2=-1)), 0.0, 1.0)
+    np.testing.assert_array_equal(METRICS["process"]["fidelity"](chi), overlap)
+    np.testing.assert_array_equal(METRICS["process"]["purity"](chi), chi_purity)
+    assert METRICS["process"]["fidelity"](chi[0]) == float(overlap[0])

@@ -176,6 +176,14 @@ class TestValidators:
         with pytest.raises(ValueError, match="eigenvalue"):
             check_density_matrix(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entry(self, value):
+        # every comparison with NaN is false, so the later checks would pass it
+        bad = np.eye(4, dtype=complex) / 4
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density_matrix(bad)
+
 
 class TestTraceDistance:
     def test_identical(self):

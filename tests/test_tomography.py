@@ -7,14 +7,12 @@ from entconv.counts import (CountDataError, CountRecord, expected_counts,
                             expected_process_counts, poisson_resamples, simulate_counts,
                             simulate_process_counts)
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
-                            ket2dm, projector, trace_distance, werner_state)
-from entconv.tomography import (ReconstructionError, chi_to_transfer,
-                                TomographyOptions, channel_chi, check_chi_matrix,
-                                identity_chi, linear_inversion_state, mle_process,
-                                mle_state, mle_tables, monte_carlo_errors,
-                                process_fidelity,
-                                process_purity, subtract_accidentals,
-                                tomography_settings, tp_violation)
+                            ket2dm, projector, purity, trace_distance, werner_state)
+from entconv.tomography import (METRICS, ReconstructionError, _chi_of_choi, _choi_of_chi,
+                                chi_to_transfer, TomographyOptions, channel_chi,
+                                check_chi_matrix, identity_chi, linear_inversion_state,
+                                mle_process, mle_state, mle_tables, monte_carlo_errors,
+                                subtract_accidentals, tomography_settings, tp_violation)
 
 SETTINGS = tomography_settings()
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=100.0)
@@ -218,6 +216,51 @@ class TestChannelChi:
             assert np.allclose(apply(rho), convert_qubit(rho, params), atol=1e-12)
 
 
+def random_chi(rng, n):
+    """n random Hermitian chi matrices, neither PSD nor trace preserving."""
+    a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2
+
+
+class TestChoiChi:
+    """The one Choi <-> chi map against the Pauli-sum formulas it replaced."""
+
+    def test_round_trip(self):
+        chi = random_chi(np.random.default_rng(40), 50)
+        np.testing.assert_allclose(_chi_of_choi(_choi_of_chi(chi)), chi, rtol=0, atol=1e-14)
+        choi = _choi_of_chi(chi)
+        np.testing.assert_allclose(_choi_of_chi(_chi_of_choi(choi)), choi, rtol=0, atol=1e-14)
+
+    def test_tp_violation_is_the_pauli_sum_deviation(self):
+        for chi in random_chi(np.random.default_rng(41), 50):
+            acc = sum(chi[m, n] * PAULIS[n] @ PAULIS[m] for m in range(4) for n in range(4))
+            assert tp_violation(chi) == pytest.approx(np.max(np.abs(acc - np.eye(2))),
+                                                      rel=1e-13, abs=1e-14)
+
+    def test_transfer_is_the_pauli_sum(self):
+        rng = np.random.default_rng(42)
+        for chi in random_chi(rng, 50):
+            rho = random_density_matrix(rng, dim=2)
+            ref = sum(chi[m, n] * PAULIS[m] @ rho @ PAULIS[n]
+                      for m in range(4) for n in range(4))
+            np.testing.assert_allclose(chi_to_transfer(chi)(rho), ref, rtol=0, atol=1e-13)
+
+    def test_channel_chi_is_the_choi_vec_formula(self):
+        """channel_chi against the former loop over the images of |i><j|."""
+        params = ConversionParams(eta_h=0.8, eta_v=0.6, theta=0.3, dephase=0.9)
+        smat = np.zeros((4, 4), dtype=complex)
+        for j in range(2):
+            for i in range(2):
+                e = np.zeros((2, 2), dtype=complex)
+                e[i, j] = 1.0
+                smat[:, 2 * j + i] = convert_qubit(e, params).reshape(-1, order="F")
+        basis = np.array([np.kron(PAULIS[n].T, PAULIS[m]).reshape(-1, order="F")
+                          for m in range(4) for n in range(4)]).T
+        ref = np.linalg.solve(basis, smat.reshape(-1, order="F")).reshape(4, 4)
+        np.testing.assert_allclose(channel_chi(lambda r: convert_qubit(r, params)), ref,
+                                   rtol=0, atol=1e-15)
+
+
 class TestMleProcess:
     def test_identity_channel_noiseless(self):
         recs = expected_process_counts(lambda r: r, tomography_settings(),
@@ -273,20 +316,25 @@ class TestMleProcess:
 
 
 class TestProcessMetrics:
+    """The reported process metrics: the fidelity to the identity channel,
+    whose chi is |e0><e0|, and Tr(chi^2)."""
+
+    chi_fidelity = staticmethod(METRICS["process"]["fidelity"])
+
     def test_identity_fidelity(self):
-        assert process_fidelity(identity_chi(), identity_chi()) == pytest.approx(1.0)
+        assert self.chi_fidelity(identity_chi()) == pytest.approx(1.0)
 
     def test_orthogonal_pauli_channels(self):
         chi_z = channel_chi(lambda r: PAULIS[3] @ r @ PAULIS[3])
-        assert process_fidelity(chi_z, identity_chi()) == pytest.approx(0.0, abs=1e-12)
+        assert self.chi_fidelity(chi_z) == pytest.approx(0.0, abs=1e-12)
 
     def test_unitary_purity(self):
         chi = channel_chi(lambda r: PAULIS[1] @ r @ PAULIS[1])
-        assert process_purity(chi) == pytest.approx(1.0)
+        assert purity(chi) == pytest.approx(1.0)
 
     def test_depolarizing_purity(self):
         chi = channel_chi(lambda r: sum(s @ r @ s for s in PAULIS) / 4)
-        assert process_purity(chi) == pytest.approx(0.25)
+        assert purity(chi) == pytest.approx(0.25)
 
     def test_chi_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
