@@ -60,6 +60,8 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in ("werner", "custom"):
             raise ValueError(f"unknown source kind {self.kind!r}")
+        if self.kind == "werner" and not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
         if not 0.0 <= self.pair_rate < math.inf:
             raise ValueError("pair_rate must be finite and >= 0")
 
@@ -269,8 +271,8 @@ class BudgetInputs:
     efficiency: EfficiencyParams = field(default_factory=EfficiencyParams)
 
     def __post_init__(self):
-        for name in ("power_in", "power_out", "lambda_in", "lambda_out",
-                     "pair_rate_in", "pair_rate_converted"):
+        for name in ("power_in", "power_out", "lambda_in", "lambda_out", "pair_rate_in",
+                     "pair_rate_converted", "per_crystal_pump_factor", "focus_position_factor"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 <= self.optical_loss < 1.0:

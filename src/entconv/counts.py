@@ -4,16 +4,18 @@ A measurement setting is either one of the six polarization labels or an
 analyzer angle in degrees (projector onto cos(t)|H> + sin(t)|V>). Settings
 are stored as strings so both kinds serialize uniformly.
 
-Random streams: every sampled record draws from an independent generator
-derived from (root seed, setting index, 0) through SeedSequence spawn keys,
-so runs are reproducible and settings can be sampled in any order or in
-parallel. ``table_order`` matches a table's records to the settings an
-analysis expects, and raises every layout fault of a count table.
+Random streams: record i of a sampled table draws from the SeedSequence
+stream keyed (seed, i, 0), resample s from the one keyed (seed, s), so runs
+are reproducible and settings can be sampled in any order or in parallel;
+the PCG64 states of all keys of a call are computed in one vectorised pass.
+``table_order`` matches a table's records to the settings an analysis
+expects, and raises every layout fault of a count table.
 """
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,22 +61,58 @@ class CountRecord:
             raise CountDataError("accidental_estimate must be >= 0")
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child generator for (seed, key...) via SeedSequence."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _streams(seed: int, keys):
+    """For each row ``key`` of ``keys``, a generator that draws what
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))`` draws.
+
+    Such a SeedSequence hashes into its 4-word pool the seed's 32-bit words,
+    padded to 4, then the key's words. One SeedSequence of the seed's words
+    gives the pool they leave; a uint32 port of ``mix_entropy`` and
+    ``generate_state(4, uint64)`` takes it on for all keys at once, and
+    PCG64's seeding runs on 128-bit Python ints. One PCG64, built per call,
+    is reseated at each key, so every item is the same generator: take a
+    key's draws before the next. A negative seed or key word, or a key word
+    of 2**32 or more (which SeedSequence splits up), raises ``ValueError``.
+    """
+    seed, keys = operator.index(seed), np.asarray(keys)
+    if seed < 0 or keys.dtype.kind not in "iu" or \
+            keys.size and not 0 <= keys.min() <= keys.max() <= _M32:
+        raise ValueError("seed and key words must be non-negative integers below 2**32")
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 128), 32)]
+    # hashmix t of the pool xors a word with a[t] and multiplies it by a[t + 1]
+    a = np.multiply.accumulate([0x43B0D7E5] + [0x931E8875] * 4 * (len(words) + keys.shape[1]),
+                               dtype=np.uint32)
+    b = np.multiply.accumulate([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)
+    pool = np.tile(np.random.SeedSequence(words).pool, (len(keys), 1))
+    for t, column in zip(range(4 * len(words), len(a), 4), keys.T.astype(np.uint32)):
+        value = (column[:, None] ^ a[t:t + 4]) * a[t + 1:t + 5]
+        pool = 0xCA01F9DD * pool - 0x4973F715 * (value ^ value >> 16)
+        pool ^= pool >> 16
+    state = (np.tile(pool, 2) ^ b[:8]) * b[1:]
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for s_hi, s_lo, i_hi, i_lo in (state ^ state >> 16).astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+            & _M128, "inc": inc}}
+        yield rng
 
 
 def poisson_resamples(means, n_samples: int, seed: int) -> np.ndarray:
     """Poisson redraws of ``means``, one row per resample, as floats.
 
-    Row s, of shape ``len(means)``, comes from ``substream(seed, s)``, so it
-    does not depend on how many rows are drawn.
+    Row s, of shape ``len(means)``, is one draw from the stream keyed
+    (seed, s), so it does not depend on how many rows are drawn.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     means = np.asarray(means, dtype=float)
-    return np.array([substream(seed, s).poisson(means) for s in range(n_samples)],
-                    dtype=float)
+    return np.array([rng.poisson(means)
+                     for rng in _streams(seed, [(s,) for s in range(n_samples)])], dtype=float)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -199,9 +237,10 @@ def _pair_rates(rho, settings, source: SourceModel, det: DetectionModel):
 
 def _poisson_rows(means: np.ndarray, seed: int) -> list[list[int]]:
     """Poisson draws of each row i of ``means``, in column order, from its own
-    stream substream(seed, i, 0)."""
-    return [substream(seed, i, 0).poisson(row).tolist()
-            for i, row in enumerate(means)]
+    stream keyed (seed, i, 0), one scalar draw per element: the same draws as
+    one array draw per row, without its per-call argument checks."""
+    return [[rng.poisson(x) for x in row] for rng, row
+            in zip(_streams(seed, [(i, 0) for i in range(len(means))]), means.tolist())]
 
 
 def expected_counts(rho: np.ndarray, settings: list[tuple[str, str]],

@@ -104,7 +104,7 @@ configs = st.builds(
         lambda_out=positive, optical_loss=st.floats(0.0, 1.0, exclude_max=True),
         pair_rate_in=positive, pair_rate_converted=positive,
         fiber_coupling=st.floats(0.0, 1.0, exclude_min=True),
-        per_crystal_pump_factor=reals, focus_position_factor=reals,
+        per_crystal_pump_factor=positive, focus_position_factor=positive,
         efficiency=st.builds(EfficiencyParams, pump_power=positive, lambda_1=positive,
                              lambda_2=positive, lambda_p=positive, n_1=positive,
                              n_2=positive, d_eff=positive, crystal_length=positive,
@@ -354,15 +354,16 @@ class TestConfig:
 #: Every float field of the model dataclasses with a range check; the INI
 #: loader rejects non-finite values before these run, the Python API does not.
 RANGE_CHECKED = [(Acquisition, f.name) for f in fields(Acquisition)] + [
-    (SourceModel, "pair_rate"), (ConversionParams, "eta_h"), (ConversionParams, "eta_v"),
-    (ConversionParams, "theta"), (ConversionParams, "dephase"),
+    (SourceModel, "p"), (SourceModel, "pair_rate"), (ConversionParams, "eta_h"),
+    (ConversionParams, "eta_v"), (ConversionParams, "theta"), (ConversionParams, "dephase"),
     (ProcessStage, "rate"), (ProcessStage, "accidental_rate"),
     (TomographyOptions, "rel_tol")] + [
     (DetectionModel, name) for _, name in DETECTION_KEYS] + [
     (EfficiencyParams, f.name) for f in fields(EfficiencyParams)] + [
     (BudgetInputs, name) for name in ("power_in", "power_out", "lambda_in", "lambda_out",
                                       "optical_loss", "pair_rate_in", "pair_rate_converted",
-                                      "fiber_coupling")]
+                                      "fiber_coupling", "per_crystal_pump_factor",
+                                      "focus_position_factor")]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -371,3 +372,17 @@ RANGE_CHECKED = [(Acquisition, f.name) for f in fields(Acquisition)] + [
 def test_range_checks_reject_non_finite_values(cls, name, value):
     with pytest.raises(ValueError, match=name):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["per_crystal_pump_factor", "focus_position_factor"])
+@pytest.mark.parametrize("value", [0.0, -3.0])
+def test_budget_factors_must_be_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        BudgetInputs(**{name: value})
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_werner_weight_checked_at_construction(p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        SourceModel(kind="werner", p=p)
+    assert SourceModel(kind="custom", p=p).p == p  # a custom source has no weight

@@ -1,5 +1,7 @@
 """Unit tests for count simulation and CSV I/O."""
 import csv
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -10,17 +12,24 @@ from entconv.chsh import chsh_s, chsh_sigma_resampled
 from entconv.config import default_config
 from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, convert,
                                 convert_qubit, source_state)
-from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, expected_counts,
-                            expected_process_counts, joint_projector, parse_setting,
-                            poisson_resamples, read_counts_csv, setting_projector,
-                            simulate_counts, simulate_process_counts, stage_seed, substream,
-                            table_order, write_counts_csv)
+from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, _poisson_rows,
+                            _streams, expected_counts, expected_process_counts,
+                            joint_projector, parse_setting, poisson_resamples,
+                            read_counts_csv, setting_projector, simulate_counts,
+                            simulate_process_counts, stage_seed, table_order,
+                            write_counts_csv)
 from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
 from entconv.tomography import linear_inversion_state, tomography_settings
 
 PHI_P = ket2dm(bell_state("phi+"))
 SRC = SourceModel(kind="werner", p=1.0, pair_rate=15.0)
 DET = DetectionModel()
+
+
+def oracle(seed, *key):
+    """The generator numpy derives for (seed, key...): the reference every
+    stream of the count simulator and the resampler must reproduce."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 class TestSettings:
@@ -179,8 +188,9 @@ class TestCsvRoundTrip:
 
 class TestStreams:
     def test_substream_stable(self):
-        assert substream(9, 1, 2).integers(1 << 30) == substream(9, 1, 2).integers(1 << 30)
-        assert substream(9, 1, 2).integers(1 << 30) != substream(9, 2, 1).integers(1 << 30)
+        draws = [rng.integers(1 << 30) for rng in _streams(9, [(1, 2), (1, 2), (2, 1)])]
+        assert draws[0] == draws[1] == oracle(9, 1, 2).integers(1 << 30)
+        assert draws[0] != draws[2] == oracle(9, 2, 1).integers(1 << 30)
 
     def test_stage_seeds_distinct(self):
         seeds = {stage_seed(42, s)
@@ -192,8 +202,7 @@ class TestStreams:
         draws = poisson_resamples(means, 50, seed=77)
         assert draws.shape == (50, 5) and draws.dtype == float
         for s, row in enumerate(draws):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(s,)))
-            assert row.tolist() == [float(c) for c in rng.poisson(np.array(means))]
+            assert row.tolist() == [float(c) for c in oracle(77, s).poisson(np.array(means))]
 
     def test_poisson_resamples_need_two_samples(self):
         with pytest.raises(ValueError):
@@ -202,6 +211,90 @@ class TestStreams:
     def test_stage_seed_rejects_unknown(self):
         with pytest.raises(ValueError):
             stage_seed(1, "warmup")
+
+
+#: Seeds across SeedSequence's word boundaries: one to four 32-bit words of
+#: entropy, padded to the 4-word pool of a spawned sequence, and six words.
+ORACLE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 100,
+                2 ** 160 + 7]
+ORACLE_MEANS = [0.0, 0.4, 3.0, 9.99, 10.0, 17.5, 1234.0, 2.5e6]
+RECORD_KEYS = [(i, 0) for i in range(40)]
+RESAMPLE_KEYS = [(s,) for s in range(40)]
+
+
+class TestStreamOracle:
+    """The batched stream core against one SeedSequence and PCG64 per key.
+    A numpy release that changes either seeding fails here, not silently in
+    every count table."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("keys", [RECORD_KEYS, RESAMPLE_KEYS,
+                                      [(2 ** 32 - 1, 5, 0), (0, 2 ** 32 - 1, 7)]],
+                             ids=["record", "resample", "three-word"])
+    def test_states_equal_seed_sequence(self, seed, keys):
+        assert [rng.bit_generator.state for rng in _streams(seed, keys)] == \
+            [oracle(seed, *key).bit_generator.state for key in keys]
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("keys", [RECORD_KEYS, RESAMPLE_KEYS], ids=["record", "resample"])
+    def test_both_draw_forms_equal_seed_sequence(self, seed, keys):
+        means = np.array(ORACLE_MEANS)
+        scalar = [[rng.poisson(x) for x in means.tolist()] for rng in _streams(seed, keys)]
+        array = [rng.poisson(means).tolist() for rng in _streams(seed, keys)]
+        expected = [oracle(seed, *key).poisson(means).tolist() for key in keys]
+        assert scalar == array == expected
+        assert all(type(n) is int for row in scalar for n in row)
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_count_draws_equal_seed_sequence(self, seed):
+        means = np.array(ORACLE_MEANS).reshape(-1, 2)
+        assert _poisson_rows(means, seed) == \
+            [oracle(seed, i, 0).poisson(row).tolist() for i, row in enumerate(means)]
+        assert poisson_resamples(ORACLE_MEANS, 30, seed).tolist() == \
+            [oracle(seed, s).poisson(np.array(ORACLE_MEANS)).astype(float).tolist()
+             for s in range(30)]
+
+    def test_negative_seed_raises_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(entropy=-1, spawn_key=(0,))
+        with pytest.raises(ValueError):
+            list(_streams(-1, RESAMPLE_KEYS))
+        with pytest.raises(ValueError):
+            simulate_counts(PHI_P, [("H", "H")], SRC, DET, 1.0, seed=-1)
+
+    @pytest.mark.parametrize("key", [(2 ** 32, 0), (0, 2 ** 40), (2 ** 63,), (2 ** 64,), (-1, 0),
+                                     (1.5, 0)])
+    def test_key_word_outside_one_uint32_raises(self, key):
+        """SeedSequence splits a key word of 2**32 or more into several words;
+        the core refuses it rather than mix a different entropy."""
+        with pytest.raises(ValueError, match="key words"):
+            list(_streams(3, [(0,) * len(key), key]))
+
+
+def test_concurrent_calls_equal_sequential_calls():
+    """Each call seats its own PCG64, so calls on threads (numpy's poisson
+    releases the GIL) draw what the same calls draw one after another."""
+    config = default_config()
+    rho, settings_, det, duration = pair_stages(config)[1]
+    means = [r.coincidences for r in expected_counts(rho, settings_, config.source, det,
+                                                     duration)]
+
+    def job(seed):
+        return (poisson_resamples(means, 50, seed),
+                simulate_counts(rho, settings_, config.source, det, duration, seed))
+
+    seeds = [11, 12, 13, 14, 2 ** 40, 2 ** 64 - 1, 7, 103]
+    sequential = [job(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            concurrent = list(pool.map(job, seeds * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (draws, records), (seq_draws, seq_records) in zip(concurrent, sequential * 3):
+        assert draws.tobytes() == seq_draws.tobytes()
+        assert field_reprs(records) == field_reprs(seq_records)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +326,7 @@ def legacy_simulate_counts(rho, settings, source, det, duration, seed):
     records = []
     for i, (a, b) in enumerate(settings):
         a, b = str(a), str(b)
-        rng = substream(seed, i, 0)
+        rng = oracle(seed, i, 0)
         mean_c = (legacy_coincidence_rate(rho, a, b, source, det) + acc_rate) * duration
         n_c = int(rng.poisson(mean_c))
         extra_a = det.singles_rate_a * duration - mean_c
@@ -266,7 +359,7 @@ def legacy_simulate_process_counts(channel, settings, rate, duration, seed,
                                    accidental_rate=0.0):
     records = []
     for i, (k, m) in enumerate(settings):
-        rng = substream(seed, i, 0)
+        rng = oracle(seed, i, 0)
         mean = (legacy_process_rate(channel, str(k), str(m), rate) + accidental_rate) * duration
         n = int(rng.poisson(mean))
         records.append(CountRecord(str(k), str(m), duration, n, n, n,
