@@ -3,17 +3,20 @@
 ``minimize_rows`` runs the unconstrained L-BFGS-B iteration of scipy's
 ``minimize(method="L-BFGS-B")`` on every row of a (B, n) parameter array at
 once: the same direction (L-BFGS with H0 = (s'y / y'y) I), first step
-(length 1 along -g), More-Thuente line search (MINPACK-2 dcsrch with
-ftol 1e-3, gtol 0.9, xtol 0.1, at most 20 evaluations), restart on a failed
-search, memory-update skip rule and stopping rules. Rows never interact, to
-the bit: each evaluation round calls the objective once on the rows still
-searching, a lone row as a pair (BLAS rounds a one-row product differently).
+(length 1 along -g), More-Thuente line search (MINPACK-2 dcsrch with the
+parameters below), restart on a failed search, memory-update skip rule and
+stopping rules. Rows never interact, to the bit: each evaluation round calls
+the objective once on the rows still searching, a lone row as a pair (BLAS
+rounds a one-row product differently).
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+#: dcsrch's ftol, gtol, xtol, largest step and evaluations per search, as in scipy's L-BFGS-B
+_FTOL, _GTOL, _XTOL, _STPMAX, _MAX_EVALS = 1e-3, 0.9, 0.1, 1e10, 20
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,40 +88,39 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
     return stx, fx, dx, sty, fy, dy, step, brackt | case1 | case2
 
 
-def _line_search(fun, rows, x, f, g, d, stp, ftol=1e-3, gtol=0.9, xtol=0.1,
-                 stpmax=1e10, max_evals=20):
+def _line_search(fun, rows, x, f, g, d, stp):
     """More-Thuente line search (MINPACK-2 dcsrch) along d for every row.
 
     A row stops at a step with f <= f0 + ftol stp g0'd and |g'd| <= gtol
     |g0'd|, or where rounding or the bracket width prevents progress (the
     trial point is then taken as it is). Returns which rows stopped within
-    ``max_evals`` evaluations and their new points; a row where d is not a
+    ``_MAX_EVALS`` evaluations and their new points; a row where d is not a
     descent direction fails at once.
     """
     n = len(rows)
     ginit = _dot(g, d)
-    gtest = ftol * ginit
+    gtest = _FTOL * ginit
     stx, fx, gx = np.zeros(n), f.copy(), ginit.copy()
     sty, fy, gy = np.zeros(n), f.copy(), ginit.copy()
     stp = stp.copy()
     stmin, stmax = np.zeros(n), 5.0 * stp
-    width = np.full(n, stpmax)
+    width = np.full(n, _STPMAX)
     width1 = 2.0 * width
     brackt, stage1 = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     found = np.zeros(n, dtype=bool)
     x_new, f_new, g_new = np.empty_like(x), np.empty_like(f), np.empty_like(g)
     i = np.flatnonzero(ginit < 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_evals if i.size else 0):
+        for _ in range(_MAX_EVALS if i.size else 0):
             xt = x[i] + stp[i, None] * d[i]
             ft, gt = fun(xt, rows[i])
             dt = _dot(gt, d[i])
             ftest = f[i] + stp[i] * gtest[i]
             stage1[i] &= ~((ft <= ftest) & (dt >= 0.0))
-            stop = ((ft <= ftest) & (np.abs(dt) <= -gtol * ginit[i])
+            stop = ((ft <= ftest) & (np.abs(dt) <= -_GTOL * ginit[i])
                     | brackt[i] & ((stp[i] <= stmin[i]) | (stp[i] >= stmax[i])
-                                   | (stmax[i] - stmin[i] <= xtol * stmax[i]))
-                    | (stp[i] == stpmax) & (ft <= ftest) & (dt <= gtest[i]))
+                                   | (stmax[i] - stmin[i] <= _XTOL * stmax[i]))
+                    | (stp[i] == _STPMAX) & (ft <= ftest) & (dt <= gtest[i]))
             done = i[stop]
             x_new[done], f_new[done], g_new[done] = xt[stop], ft[stop], gt[stop]
             found[done] = True
@@ -141,9 +143,9 @@ def _line_search(fun, rows, x, f, g, d, stp, ftol=1e-3, gtol=0.9, xtol=0.1,
             width[i] = np.where(b, span, width[i])
             stmin[i] = np.where(b, np.minimum(stx[i], sty[i]), step + 1.1 * (step - stx[i]))
             stmax[i] = np.where(b, np.maximum(stx[i], sty[i]), step + 4.0 * (step - stx[i]))
-            step = np.clip(step, 0.0, stpmax)
+            step = np.clip(step, 0.0, _STPMAX)
             stuck = b & ((step <= stmin[i]) | (step >= stmax[i])
-                         | (stmax[i] - stmin[i] <= xtol * stmax[i]))
+                         | (stmax[i] - stmin[i] <= _XTOL * stmax[i]))
             stp[i] = np.where(stuck, stx[i], step)
     return found, x_new, f_new, g_new
 

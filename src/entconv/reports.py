@@ -62,12 +62,9 @@ def parse_matrix(text: str) -> np.ndarray:
 MATRIX_MARKER = "matrix ="
 
 
-def emit_report(items: dict, matrix: np.ndarray | None = None) -> str:
-    """Key=value block optionally followed by a matrix block."""
-    text = emit_keyvalues(items)
-    if matrix is not None:
-        text += MATRIX_MARKER + "\n" + emit_matrix(matrix)
-    return text
+def emit_report(items: dict, matrix: np.ndarray) -> str:
+    """Key=value block followed by a matrix block."""
+    return emit_keyvalues(items) + MATRIX_MARKER + "\n" + emit_matrix(matrix)
 
 
 def parse_report(text: str) -> tuple[dict[str, str], np.ndarray | None]:

@@ -17,7 +17,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Pauli basis in the fixed order (I, X, Y, Z) used for process matrices.
 PAULIS = (SIGMA_I, SIGMA_X, SIGMA_Y, SIGMA_Z)
-PAULI_LABELS = ("I", "X", "Y", "Z")
 
 #: Single-qubit polarization kets. D/A/R/L are the +-45 degree linear and
 #: circular states, R = (H + iV)/sqrt(2), L = (H - iV)/sqrt(2).
@@ -77,9 +76,9 @@ def werner_state(p: float) -> np.ndarray:
     return p * ket2dm(_BELL["phi+"]) + (1.0 - p) * np.eye(4) / 4.0
 
 
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                         eig_tol: float = 1e-10, trace_tol: float = 1e-10) -> np.ndarray:
-    """Validate finite entries, Hermiticity, positivity and unit trace of a density matrix.
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate finite entries, Hermiticity to 1e-12, and positivity and unit
+    trace to 1e-10 of a density matrix.
 
     Returns the matrix as a complex array; raises ValueError with the failed
     property otherwise. Dimensions 2 and 4 are accepted.
@@ -90,23 +89,24 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has a non-finite entry")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > 1e-12:
         raise ValueError(f"matrix not Hermitian: max asymmetry {herm:.3e}")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace = {tr}, not 1 within {trace_tol}")
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"trace = {tr}, not 1 within 1e-10")
     lam_min = float(np.min(np.linalg.eigvalsh(rho)))
-    if lam_min < -eig_tol:
-        raise ValueError(f"negative eigenvalue {lam_min:.3e} below -{eig_tol}")
+    if lam_min < -1e-10:
+        raise ValueError(f"negative eigenvalue {lam_min:.3e} below -1e-10")
     return rho
 
 
-def _clamp01(x, tol: float = 1e-10):
-    """Clamp numerical noise just outside [0, 1] back onto the interval.
+def _clamp01(x):
+    """Clamp numerical noise up to 1e-10 outside [0, 1] back onto the interval.
 
     One value comes back as a float; an array is clamped elementwise.
     """
-    x = np.where((-tol <= x) & (x < 0.0), 0.0, np.where((1.0 < x) & (x <= 1.0 + tol), 1.0, x))
+    x = np.where((-1e-10 <= x) & (x < 0.0), 0.0,
+                 np.where((1.0 < x) & (x <= 1.0 + 1e-10), 1.0, x))
     return float(x) if x.ndim == 0 else x
 
 

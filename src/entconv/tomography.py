@@ -294,7 +294,7 @@ class Objective:
     (an index array, or a slice, which takes no copy). Counts are
     divided by their per-fit mean ``scale`` so that the landscape (hence the
     estimate) is invariant under a global rescaling of all counts;
-    ``loglik`` maps a value back to the log-likelihood of the raw counts.
+    ``loglik`` maps values (one per fit, last axis) to raw-count log-likelihoods.
     """
 
     core: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -310,9 +310,9 @@ class Objective:
         """Per-fit gradient tolerance: gtol * max(1, sum of unit counts)."""
         return gtol * np.maximum(1.0, self.counts.sum(axis=1))
 
-    def loglik(self, value, idx=0):
+    def loglik(self, value):
         # sum n log mu - mu at raw scale is s * (scaled sum) + log(s) * sum n
-        return -self.scale[idx] * value + np.log(self.scale[idx]) * self.raw_total[idx]
+        return -self.scale * value + np.log(self.scale) * self.raw_total
 
 
 def _unit_counts(raw: np.ndarray):
@@ -393,7 +393,7 @@ def _fit_batch(objective: Objective, t0: np.ndarray, errors: dict[int, str],
     minimize = _minimize_one if len(t0) == 1 else minimize_rows
     x, converged, history, nit = minimize(objective.rows, t0, ~failed, objective.pgtol(gtol),
                                           opts.rel_tol, opts.max_iters, maxcor)
-    loglik = objective.loglik(history, slice(None))
+    loglik = objective.loglik(history)
     drops = _drops(loglik)
     for b in np.flatnonzero(drops.any(axis=0)).tolist():
         i = np.argmax(drops[:, b])

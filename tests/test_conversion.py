@@ -102,7 +102,7 @@ class TestConvert:
                                       theta=rng.uniform(0, 2 * np.pi),
                                       dephase=rng.uniform(0, 1))
             rho_out, prob = convert(rho, params)
-            check_density_matrix(rho_out, herm_tol=1e-10)
+            check_density_matrix(rho_out)
             assert 0.0 < prob <= 1.0 + 1e-12
 
     def test_tangle_non_increasing_for_balanced_conversion(self):

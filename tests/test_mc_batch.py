@@ -1,11 +1,12 @@
 """Batched Monte-Carlo fits: the batched objectives row by row, failed rows,
-and agreement with the one-resample-at-a-time scipy fits they replace."""
+agreement with the one-resample-at-a-time scipy fits they replace, and the
+error bars against the simulated truth."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import optimize
+from scipy import optimize, stats
 
 from entconv import pipeline
 from entconv.config import default_config
@@ -440,3 +441,68 @@ def test_process_metrics_are_the_chi_overlap_and_purity_to_the_bit(default_stage
     np.testing.assert_array_equal(METRICS["process"]["fidelity"](chi), overlap)
     np.testing.assert_array_equal(METRICS["process"]["purity"](chi), chi_purity)
     assert METRICS["process"]["fidelity"](chi[0]) == float(overlap[0])
+
+
+#: seeds of the coverage check, fixed before it was first run
+COVERAGE_SEEDS = range(1001, 1041)
+#: seeds per ``fit_stages`` call: a row fits alike in any batch, and five
+#: seeds' 2020 state rows fit in 0.7 of the time of five batches of 404
+COVERAGE_BATCH = 5
+#: largest chance that calibrated error bars, of a point biased by at most
+#: BIAS, fail the check
+FALSE_FAIL = 0.01
+#: largest point-estimate bias let through, in error bars: the largest
+#: |mean z| of seeds 1-300 is 0.29 (output_corrected tangle)
+BIAS = 0.3
+
+
+def report_errors(configs, outdir, mc_samples):
+    """(value, err) of every metric of the five report stages of each config,
+    keyed (seed, stage, metric); each kind's stages of all configs are
+    fitted in one ``fit_stages`` batch."""
+    stages = {"state": {}, "process": {}}
+    for config in configs:
+        paths = run_simulate(config, outdir)
+        for stage, (table, subtract, index) in STAGES.items():
+            kind = "process" if table == "process" else "state"
+            stages[kind][config.seed, stage] = (read_counts_csv(paths[table]), subtract,
+                                                _mc_seed(config, index))
+    out = {}
+    for kind, group in stages.items():
+        fits = fit_stages(kind, group, configs[0].tomography, mc_samples)
+        for (seed, stage), (result, _) in fits.items():
+            for name in METRICS[kind]:
+                out[seed, stage, name] = (getattr(result.metrics, name),
+                                          getattr(result.metrics, f"{name}_err"))
+    return out
+
+
+def test_error_bars_cover_the_noiseless_truth(tmp_path):
+    """Over 40 seeds of the default config, z = (point - truth) / err of each
+    metric of the five report stages, with the fit of the noiseless run as
+    the truth, is consistent with N(mu, 1), |mu| <= BIAS: its std within the
+    chi-square bounds, its |z| > 2 count within the binomial bound and its
+    |mean| within BIAS plus the normal bound, each at FALSE_FAIL split over
+    all the bounds checked."""
+    config = default_config()
+    truth = {(stage, name): value for (_, stage, name), (value, _)
+             in report_errors([replace(config, noiseless=True)], tmp_path, 2).items()}
+    z = {key: [] for key in truth}
+    for i in range(0, len(COVERAGE_SEEDS), COVERAGE_BATCH):
+        configs = [replace(config, seed=s) for s in COVERAGE_SEEDS[i:i + COVERAGE_BATCH]]
+        for (_, stage, name), (value, err) in report_errors(configs, tmp_path,
+                                                            config.mc_samples).items():
+            z[stage, name].append((value - truth[stage, name]) / err)
+    n = len(COVERAGE_SEEDS)
+    alpha = FALSE_FAIL / (3 * len(z))
+    std_lo, std_hi = np.sqrt(stats.chi2.ppf([alpha / 2, 1 - alpha / 2], n - 1) / (n - 1))
+    max_beyond_2 = stats.binom.isf(alpha, n, 2 * stats.norm.sf(2.0))
+    max_mean = BIAS + stats.norm.isf(alpha / 2) / np.sqrt(n)
+    faults = {}
+    for key, values in z.items():
+        std, beyond_2, mean = (np.std(values, ddof=1), np.count_nonzero(np.abs(values) > 2.0),
+                               np.mean(values))
+        if not (std_lo <= std <= std_hi and beyond_2 <= max_beyond_2 and abs(mean) <= max_mean):
+            faults[key] = (round(float(std), 3), int(beyond_2), round(float(mean), 3))
+    assert not faults, (f"(std z, |z| > 2 count, mean z) outside [{std_lo:.3f}, {std_hi:.3f}], "
+                        f"{max_beyond_2:.0f}, +-{max_mean:.3f}: {faults}")

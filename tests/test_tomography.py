@@ -144,7 +144,7 @@ class TestMleState:
         rho = random_density_matrix(rng)
         recs = simulate_counts(rho, SETTINGS, SRC, DET, 10.0, seed=1)
         est = mle_state(recs).estimate
-        check_density_matrix(est, herm_tol=1e-12, eig_tol=1e-10, trace_tol=1e-10)
+        check_density_matrix(est)
 
     def test_likelihood_history_monotone(self):
         rng = np.random.default_rng(24)
