@@ -5,9 +5,9 @@ analyzer angle in degrees (projector onto cos(t)|H> + sin(t)|V>). Settings
 are stored as strings so both kinds serialize uniformly.
 
 Random streams: record i of a sampled table draws from the SeedSequence
-stream keyed (seed, i, 0), resample s from the one keyed (seed, s), so runs
-are reproducible and settings can be sampled in any order or in parallel;
-the PCG64 states of all keys of a call are computed in one vectorised pass.
+stream keyed (seed, i, 0), so settings can be sampled in any order or in
+parallel, with the PCG64 states of all keys of a call set in one vectorised
+pass; a table's Poisson resamples are one draw from one ``default_rng``.
 ``table_order`` matches a table's records to the settings an analysis
 expects, and raises every layout fault of a count table.
 """
@@ -105,14 +105,13 @@ def _streams(seed: int, keys):
 def poisson_resamples(means, n_samples: int, seed: int) -> np.ndarray:
     """Poisson redraws of ``means``, one row per resample, as floats.
 
-    Row s, of shape ``len(means)``, is one draw from the stream keyed
-    (seed, s), so it does not depend on how many rows are drawn.
+    One draw of shape ``(n_samples, len(means))`` from ``default_rng(seed)``,
+    filled row by row, so row s does not depend on how many rows are drawn.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     means = np.asarray(means, dtype=float)
-    return np.array([rng.poisson(means)
-                     for rng in _streams(seed, [(s,) for s in range(n_samples)])], dtype=float)
+    return np.random.default_rng(seed).poisson(means, size=(n_samples, len(means))).astype(float)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -121,6 +120,14 @@ def stage_seed(seed: int, stage: str) -> int:
     if stage not in stages:
         raise ValueError(f"unknown stage {stage!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(1000 + stages.index(stage),))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def resample_seed(seed: int, report: str) -> int:
+    """Seed of the resamples behind the report file named ``report``, keyed by
+    its name's bytes: every command that writes the file draws the same ones."""
+    ss = np.random.SeedSequence(entropy=stage_seed(seed, "monte_carlo"),
+                                spawn_key=tuple(report.encode()))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -193,11 +200,6 @@ def setting_projector(setting: str) -> np.ndarray:
     t = np.radians(value)
     v = np.array([np.cos(t), np.sin(t)], dtype=complex)
     return np.outer(v, v.conj())
-
-
-def joint_projector(setting_a: str, setting_b: str) -> np.ndarray:
-    """4x4 projector P_a (x) P_b for a setting pair."""
-    return np.kron(setting_projector(setting_a), setting_projector(setting_b))
 
 
 def _projector_stack(settings: list[str]) -> np.ndarray:

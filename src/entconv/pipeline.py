@@ -17,7 +17,7 @@ from .chsh import ChshResult, chsh_s, chsh_sigma_resampled
 from .config import ExperimentConfig
 from .conversion import convert, convert_qubit, efficiency_budget, focusing_factor, source_state
 from .counts import (CountRecord, expected_counts, expected_process_counts,
-                     poisson_resamples, read_counts_csv, simulate_counts,
+                     poisson_resamples, read_counts_csv, resample_seed, simulate_counts,
                      simulate_process_counts, stage_seed, write_counts_csv)
 from .reference import REFERENCE_VALUES
 from .reports import emit_keyvalues, emit_report
@@ -31,12 +31,6 @@ COUNT_FILES = {
     "process": "counts_process.csv",
     "chsh": "counts_chsh.csv",
 }
-
-
-def _mc_seed(config: ExperimentConfig, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=stage_seed(config.seed, "monte_carlo"),
-                                spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path]:
@@ -126,17 +120,28 @@ def _state_report(result: TomographyResult, label: str) -> str:
     return emit_report(items, result.estimate)
 
 
+def _fit_states(config: ExperimentConfig, outdir: str | Path,
+                stages: dict[str, tuple[list[CountRecord], bool]]
+                ) -> dict[str, TomographyResult]:
+    """Fit the state stages (label -> records, subtract) in one batch; write each
+    one's report to ``state_{label}.txt``, its resamples seeded by that name."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    fits = fit_stages("state", {label: (records, subtract,
+                                        resample_seed(config.seed, f"state_{label}.txt"))
+                                for label, (records, subtract) in stages.items()},
+                      config.tomography, config.mc_samples)
+    for label, (result, _) in fits.items():
+        (outdir / f"state_{label}.txt").write_text(_state_report(result, label))
+    return {label: result for label, (result, _) in fits.items()}
+
+
 def run_reconstruct_state(config: ExperimentConfig, outdir: str | Path,
                           counts_path: str | Path, label: str,
                           subtract: bool = True) -> TomographyResult:
     """Reconstruct a two-qubit state from a count CSV and write its report."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    result, _ = fit_stages("state", {label: (records, subtract, _mc_seed(config, 0))},
-                           config.tomography, config.mc_samples)[label]
-    (outdir / f"state_{label}.txt").write_text(_state_report(result, label))
-    return result
+    return _fit_states(config, outdir, {label: (records, subtract)})[label]
 
 
 def run_reconstruct_process(config: ExperimentConfig, outdir: str | Path,
@@ -145,7 +150,8 @@ def run_reconstruct_process(config: ExperimentConfig, outdir: str | Path,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    result, _ = fit_stages("process", {"process": (records, False, _mc_seed(config, 1))},
+    seed = resample_seed(config.seed, "process_chi.txt")
+    result, _ = fit_stages("process", {"process": (records, False, seed)},
                            config.tomography, config.mc_samples)["process"]
     (outdir / "process_chi.txt").write_text(_state_report(result, "process"))
     return result
@@ -159,7 +165,7 @@ def run_chsh(config: ExperimentConfig, outdir: str | Path,
     records = read_counts_csv(counts_path)
     result = chsh_s(config.chsh, records)
     sigma_mc = chsh_sigma_resampled(config.chsh, records, n_samples=200,
-                                    seed=_mc_seed(config, 2))
+                                    seed=resample_seed(config.seed, "chsh.txt"))
     items = {
         "s_value": result.s_value, "s_sigma": result.s_sigma,
         "s_sigma_resampled": sigma_mc,
@@ -194,16 +200,8 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
     outdir = Path(outdir)
     paths = run_simulate(config, outdir)
     ins, outs = (read_counts_csv(paths[table]) for table in ("state_input", "state_output"))
-    stages = {"input_raw": (ins, False, 3, "state_input_raw.txt"),
-              "input_corrected": (ins, True, 4, "state_input.txt"),
-              "output_raw": (outs, False, 5, "state_output_raw.txt"),
-              "output_corrected": (outs, True, 6, "state_output.txt")}
-    fits = fit_stages("state", {label: (records, subtract, _mc_seed(config, index))
-                                for label, (records, subtract, index, _) in stages.items()},
-                      config.tomography, config.mc_samples)
-    for label, (*_, name) in stages.items():
-        (outdir / name).write_text(_state_report(fits[label][0], label))
-    in_raw, in_cor, out_raw, out_cor = (result for result, _ in fits.values())
+    fits = _fit_states(config, outdir, {"input_raw": (ins, False), "input": (ins, True),
+                                        "output_raw": (outs, False), "output": (outs, True)})
 
     proc = run_reconstruct_process(config, outdir, paths["process"])
     bell = run_chsh(config, outdir, paths["chsh"])
@@ -212,20 +210,20 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
     values = {
         "chsh_s": bell.s_value,
         "chsh_s_sigma": bell.s_sigma,
-        "fidelity_input_raw": in_raw.metrics.fidelity,
-        "fidelity_input_corrected": in_cor.metrics.fidelity,
-        "fidelity_output_raw": out_raw.metrics.fidelity,
-        "tangle_output_raw": out_raw.metrics.tangle,
-        "fidelity_output_corrected": out_cor.metrics.fidelity,
-        "purity_output_corrected": out_cor.metrics.purity,
-        "tangle_output_corrected": out_cor.metrics.tangle,
+        "fidelity_input_raw": fits["input_raw"].metrics.fidelity,
+        "fidelity_input_corrected": fits["input"].metrics.fidelity,
+        "fidelity_output_raw": fits["output_raw"].metrics.fidelity,
+        "tangle_output_raw": fits["output_raw"].metrics.tangle,
+        "fidelity_output_corrected": fits["output"].metrics.fidelity,
+        "purity_output_corrected": fits["output"].metrics.purity,
+        "tangle_output_corrected": fits["output"].metrics.tangle,
         "process_fidelity": proc.metrics.fidelity,
         "process_purity": proc.metrics.purity,
         "observed_photon_conversion": budget["photon_conversion_observed"],
         "intrinsic_pair_conversion": budget["pair_conversion_intrinsic"],
         "theory_single_crystal_efficiency": budget["theory_single_crystal"],
     }
-    results = {label: result for label, (result, _) in fits.items()} | {"process": proc}
+    results = fits | {"process": proc}
     unconverged = [label for label, result in results.items() if not result.converged]
     items: dict[str, object] = {"all_reconstructions_converged": not unconverged}
     for key, value in values.items():

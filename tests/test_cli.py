@@ -162,8 +162,32 @@ def test_report_without_convergence_writes_everything_and_exits_3(tmp_path, caps
         assert (out / name).exists()
     items, _ = parse_report((out / "summary.txt").read_text())
     assert items["all_reconstructions_converged"] == "False"
-    assert ("reconstructions did not converge: input_raw, input_corrected, output_raw, "
-            "output_corrected, process") in capsys.readouterr().err
+    assert ("reconstructions did not converge: input_raw, input, output_raw, output, "
+            "process") in capsys.readouterr().err
+
+
+def test_commands_rewrite_the_report_files_byte_for_byte(tmp_path):
+    """Each command run after ``report`` on its count table writes the report
+    file ``report`` wrote, byte for byte: a stage's label and resamples
+    depend only on the run seed and the file."""
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--mc-samples", "20"]
+    assert main([*args, "report"]) == 0
+    state_input = str(out / COUNT_FILES["state_input"])
+    commands = {
+        "state_input.txt": ["reconstruct-state", "--label", "input", "--counts", state_input],
+        "state_input_raw.txt": ["reconstruct-state", "--raw", "--label", "input_raw",
+                                "--counts", state_input],
+        "state_output.txt": ["reconstruct-state"],
+        "state_output_raw.txt": ["reconstruct-state", "--raw", "--label", "output_raw"],
+        "process_chi.txt": ["reconstruct-process"],
+        "chsh.txt": ["chsh"],
+    }
+    for name, command in commands.items():
+        written = (out / name).read_bytes()
+        (out / name).unlink()
+        assert main([*args, *command]) == 0
+        assert (out / name).read_bytes() == written, name
 
 
 def test_reconstruction_error_exits_3(tmp_path, config_path, capsys):

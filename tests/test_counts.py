@@ -14,8 +14,8 @@ from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, c
                                 convert_qubit, source_state)
 from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, _poisson_rows,
                             _streams, expected_counts, expected_process_counts,
-                            joint_projector, parse_setting, poisson_resamples,
-                            read_counts_csv, setting_projector, simulate_counts,
+                            parse_setting, poisson_resamples, read_counts_csv,
+                            resample_seed, setting_projector, simulate_counts,
                             simulate_process_counts, stage_seed, table_order,
                             write_counts_csv)
 from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
@@ -28,7 +28,8 @@ DET = DetectionModel()
 
 def oracle(seed, *key):
     """The generator numpy derives for (seed, key...): the reference every
-    stream of the count simulator and the resampler must reproduce."""
+    stream of the count simulator must reproduce, and with no key the one
+    the resampler draws from."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -47,10 +48,6 @@ class TestSettings:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_setting("Q")
-
-    def test_joint_projector(self):
-        assert np.allclose(joint_projector("H", "V"),
-                           np.kron(projector("H"), projector("V")))
 
 
 class TestExpectedCounts:
@@ -193,16 +190,26 @@ class TestStreams:
         assert draws[0] != draws[2] == oracle(9, 2, 1).integers(1 << 30)
 
     def test_stage_seeds_distinct(self):
-        seeds = {stage_seed(42, s)
-                 for s in ("state_input", "state_output", "process", "chsh", "monte_carlo")}
-        assert len(seeds) == 5
+        """The four count tables' seeds, the Monte-Carlo root and the resample
+        seed of every report file a stage with error bars writes all differ."""
+        seeds = [stage_seed(42, s)
+                 for s in ("state_input", "state_output", "process", "chsh", "monte_carlo")]
+        seeds += [resample_seed(42, name)
+                  for name in ("state_input_raw.txt", "state_input.txt", "state_output_raw.txt",
+                               "state_output.txt", "process_chi.txt", "chsh.txt")]
+        assert len(set(seeds)) == 11
+        assert resample_seed(43, "state_output.txt") != resample_seed(42, "state_output.txt")
 
     def test_poisson_resamples_equal_per_sample_streams(self):
+        """Row s is the (s + 1)-th array draw from one generator of the seed,
+        so a shorter call returns the first rows of a longer one."""
         means = [0.0, 0.4, 3.0, 17.5, 1234.0]
         draws = poisson_resamples(means, 50, seed=77)
         assert draws.shape == (50, 5) and draws.dtype == float
-        for s, row in enumerate(draws):
-            assert row.tolist() == [float(c) for c in oracle(77, s).poisson(np.array(means))]
+        rng = oracle(77)
+        for row in draws:
+            assert row.tolist() == [float(c) for c in rng.poisson(np.array(means))]
+        assert poisson_resamples(means, 20, seed=77).tolist() == draws[:20].tolist()
 
     def test_poisson_resamples_need_two_samples(self):
         with pytest.raises(ValueError):
@@ -250,9 +257,9 @@ class TestStreamOracle:
         means = np.array(ORACLE_MEANS).reshape(-1, 2)
         assert _poisson_rows(means, seed) == \
             [oracle(seed, i, 0).poisson(row).tolist() for i, row in enumerate(means)]
+        rng = oracle(seed)
         assert poisson_resamples(ORACLE_MEANS, 30, seed).tolist() == \
-            [oracle(seed, s).poisson(np.array(ORACLE_MEANS)).astype(float).tolist()
-             for s in range(30)]
+            [rng.poisson(np.array(ORACLE_MEANS)).astype(float).tolist() for _ in range(30)]
 
     def test_negative_seed_raises_like_seed_sequence(self):
         with pytest.raises(ValueError):
@@ -303,7 +310,8 @@ def test_concurrent_calls_equal_sequential_calls():
 # and byte for byte.
 
 def legacy_coincidence_rate(rho, setting_a, setting_b, source, det):
-    p = float(np.real(np.trace(joint_projector(setting_a, setting_b) @ rho)))
+    joint = np.kron(setting_projector(setting_a), setting_projector(setting_b))
+    p = float(np.real(np.trace(joint @ rho)))
     p = min(max(p, 0.0), 1.0)
     return source.pair_rate * det.conversion_eff * det.det_eff_810 * det.det_eff_532 * p
 

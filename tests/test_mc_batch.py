@@ -12,8 +12,8 @@ from entconv import pipeline
 from entconv.config import default_config
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import (CountRecord, expected_counts, poisson_resamples, read_counts_csv,
-                            simulate_counts, simulate_process_counts)
-from entconv.pipeline import (COUNT_FILES, _mc_seed, fit_stages, run_report,
+                            resample_seed, simulate_counts, simulate_process_counts)
+from entconv.pipeline import (COUNT_FILES, fit_stages, run_report,
                               run_reconstruct_process, run_reconstruct_state, run_simulate)
 from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
                             werner_state)
@@ -323,18 +323,21 @@ def default_stage_tables(tmp_path_factory):
                     for name in ("state_input", "state_output", "process")}
 
 
-#: the report's five Monte-Carlo stages: (table, accidental subtraction, seed index)
-STAGES = {"input_raw": ("state_input", False, 3), "input_corrected": ("state_input", True, 4),
-          "output_raw": ("state_output", False, 5),
-          "output_corrected": ("state_output", True, 6), "process": ("process", False, 1)}
+#: the report's five Monte-Carlo stages: (table, accidental subtraction, report file)
+STAGES = {"input_raw": ("state_input", False, "state_input_raw.txt"),
+          "input": ("state_input", True, "state_input.txt"),
+          "output_raw": ("state_output", False, "state_output_raw.txt"),
+          "output": ("state_output", True, "state_output.txt"),
+          "process": ("process", False, "process_chi.txt")}
 
 
 @pytest.mark.parametrize("stage", STAGES)
 def test_default_report_stages_converge_every_resample(default_stage_tables, stage):
     config, tables = default_stage_tables
-    table, subtract, index = STAGES[stage]
+    table, subtract, report = STAGES[stage]
     kind = "process" if table == "process" else "state"
-    _, mc = fit_stages(kind, {stage: (tables[table], subtract, _mc_seed(config, index))},
+    seed = resample_seed(config.seed, report)
+    _, mc = fit_stages(kind, {stage: (tables[table], subtract, seed)},
                        config.tomography, config.mc_samples)[stage]
     assert (mc.n_samples, mc.n_failed, mc.n_unconverged) == (100, 0, 0)
 
@@ -346,10 +349,10 @@ def test_batched_stage_agrees_with_sequential_fits(default_stage_tables, stage):
     likelihood at least the scipy fit's, up to 1e-6 of the scaled objective,
     on all but one resample in a hundred."""
     config, tables = default_stage_tables
-    table, subtract, index = STAGES[stage]
+    table, subtract, report = STAGES[stage]
     records, opts = tables[table], config.tomography
     counts = poisson_resamples([r.coincidences for r in records], config.mc_samples,
-                               _mc_seed(config, index))
+                               resample_seed(config.seed, report))
     if table == "process":
         fit = mle_tables("process", [(records, counts)], opts)[0]
         seq = [mle_process(with_counts(records, row), opts) for row in counts]
@@ -398,19 +401,19 @@ def test_metrics_on_a_stack_equal_the_per_estimate_loop(name):
 
 
 #: every *_err of the five default report stages on seed 103, computed one
-#: estimate at a time before the metrics took the stack of estimates; the
-#: output stages re-derived so when a lone row stopped taking BLAS's
-#: matrix-vector path in ``minimize_rows``
+#: estimate at a time: the metrics looped over the resample estimates of
+#: each stage's own ``mle_tables`` batch, with the resamples one
+#: ``poisson_resamples`` draw from the stage's ``resample_seed``
 PER_ESTIMATE_ERRORS = {
-    "input_raw": {"fidelity": 0.0005205762096086602, "purity": 0.001049441921048636,
-                  "tangle": 0.0020522607237668223},
-    "input_corrected": {"fidelity": 0.0005485128540786452, "purity": 0.0011846966205962392,
-                        "tangle": 0.0021572785569664854},
-    "output_raw": {"fidelity": 0.0044244576457516645, "purity": 0.008384495285052113,
-                   "tangle": 0.016486154443434774},
-    "output_corrected": {"fidelity": 0.004787146654068048, "purity": 0.009339511497340323,
-                         "tangle": 0.019078418928575522},
-    "process": {"fidelity": 3.076409572559703e-05, "purity": 6.291720524275069e-05},
+    "input_raw": {"fidelity": 0.0005341614264643351, "purity": 0.001038767308575441,
+                  "tangle": 0.0019274842454786213},
+    "input": {"fidelity": 0.0005498079531042941, "purity": 0.0010599323440181028,
+              "tangle": 0.00211119009471827},
+    "output_raw": {"fidelity": 0.004225585319691744, "purity": 0.008027802055538096,
+                   "tangle": 0.015535207505584937},
+    "output": {"fidelity": 0.003990515737665742, "purity": 0.007831690790790855,
+               "tangle": 0.01622134822037885},
+    "process": {"fidelity": 3.0038782699367554e-05, "purity": 6.011491487638359e-05},
 }
 
 
@@ -418,9 +421,10 @@ PER_ESTIMATE_ERRORS = {
 def test_stage_error_bars_equal_per_estimate_values(default_stage_tables, stage):
     config, tables = default_stage_tables
     assert config.seed == 103
-    table, subtract, index = STAGES[stage]
+    table, subtract, report = STAGES[stage]
     kind = "process" if table == "process" else "state"
-    _, mc = fit_stages(kind, {stage: (tables[table], subtract, _mc_seed(config, index))},
+    seed = resample_seed(config.seed, report)
+    _, mc = fit_stages(kind, {stage: (tables[table], subtract, seed)},
                        config.tomography, config.mc_samples)[stage]
     assert mc.std_errors.keys() == PER_ESTIMATE_ERRORS[stage].keys()
     for name, ref in PER_ESTIMATE_ERRORS[stage].items():
@@ -433,7 +437,8 @@ def test_process_metrics_are_the_chi_overlap_and_purity_to_the_bit(default_stage
     config, tables = default_stage_tables
     records = tables["process"]
     counts = np.concatenate([[[r.coincidences for r in records]],
-                             resamples(records, config.mc_samples, _mc_seed(config, 1))])
+                             resamples(records, config.mc_samples,
+                                       resample_seed(config.seed, "process_chi.txt"))])
     chi = mle_tables("process", [(records, counts)], config.tomography)[0].estimates
     assert chi.shape == (101, 4, 4)
     overlap = np.clip(np.real(np.trace(chi @ identity_chi(), axis1=-2, axis2=-1)), 0.0, 1.0)
@@ -452,7 +457,7 @@ COVERAGE_BATCH = 5
 #: BIAS, fail the check
 FALSE_FAIL = 0.01
 #: largest point-estimate bias let through, in error bars: the largest
-#: |mean z| of seeds 1-300 is 0.29 (output_corrected tangle)
+#: |mean z| of seeds 1-300 is 0.29 (output tangle)
 BIAS = 0.3
 
 
@@ -463,10 +468,10 @@ def report_errors(configs, outdir, mc_samples):
     stages = {"state": {}, "process": {}}
     for config in configs:
         paths = run_simulate(config, outdir)
-        for stage, (table, subtract, index) in STAGES.items():
+        for stage, (table, subtract, report) in STAGES.items():
             kind = "process" if table == "process" else "state"
             stages[kind][config.seed, stage] = (read_counts_csv(paths[table]), subtract,
-                                                _mc_seed(config, index))
+                                                resample_seed(config.seed, report))
     out = {}
     for kind, group in stages.items():
         fits = fit_stages(kind, group, configs[0].tomography, mc_samples)
