@@ -5,9 +5,9 @@ analyzer angle in degrees (projector onto cos(t)|H> + sin(t)|V>). Settings
 are stored as strings so both kinds serialize uniformly.
 
 Random streams: record i of a sampled table draws from the SeedSequence
-stream keyed (seed, i, 0), so settings can be sampled in any order or in
-parallel, with the PCG64 states of all keys of a call set in one vectorised
-pass; a table's Poisson resamples are one draw from one ``default_rng``.
+stream keyed (seed, i, 0), resample s from the one keyed (seed, s), so runs
+are reproducible and settings can be sampled in any order or in parallel;
+the PCG64 states of all keys of a call are computed in one vectorised pass.
 ``table_order`` matches a table's records to the settings an analysis
 expects, and raises every layout fault of a count table.
 """
@@ -105,13 +105,14 @@ def _streams(seed: int, keys):
 def poisson_resamples(means, n_samples: int, seed: int) -> np.ndarray:
     """Poisson redraws of ``means``, one row per resample, as floats.
 
-    One draw of shape ``(n_samples, len(means))`` from ``default_rng(seed)``,
-    filled row by row, so row s does not depend on how many rows are drawn.
+    Row s, of shape ``len(means)``, is one draw from the stream keyed
+    (seed, s), so it does not depend on how many rows are drawn.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     means = np.asarray(means, dtype=float)
-    return np.random.default_rng(seed).poisson(means, size=(n_samples, len(means))).astype(float)
+    return np.array([rng.poisson(means)
+                     for rng in _streams(seed, [(s,) for s in range(n_samples)])], dtype=float)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -124,10 +125,12 @@ def stage_seed(seed: int, stage: str) -> int:
 
 
 def resample_seed(seed: int, report: str) -> int:
-    """Seed of the resamples behind the report file named ``report``, keyed by
-    its name's bytes: every command that writes the file draws the same ones."""
-    ss = np.random.SeedSequence(entropy=stage_seed(seed, "monte_carlo"),
-                                spawn_key=tuple(report.encode()))
+    """Seed of the resamples behind the report file named ``report``, the same in
+    every command that writes it; a file the report does not write takes key 0."""
+    reports = ("process_chi.txt", "chsh.txt", "state_input_raw.txt", "state_input.txt",
+               "state_output_raw.txt", "state_output.txt")
+    key = reports.index(report) + 1 if report in reports else 0
+    ss = np.random.SeedSequence(entropy=stage_seed(seed, "monte_carlo"), spawn_key=(key,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -120,19 +120,20 @@ def _state_report(result: TomographyResult, label: str) -> str:
     return emit_report(items, result.estimate)
 
 
-def _fit_states(config: ExperimentConfig, outdir: str | Path,
-                stages: dict[str, tuple[list[CountRecord], bool]]
-                ) -> dict[str, TomographyResult]:
-    """Fit the state stages (label -> records, subtract) in one batch; write each
-    one's report to ``state_{label}.txt``, its resamples seeded by that name."""
+def _fit_and_write(kind: str, config: ExperimentConfig, outdir: str | Path,
+                   stages: dict[str, tuple[list[CountRecord], bool]]
+                   ) -> dict[str, TomographyResult]:
+    """Fit a kind's stages (label -> records, subtract) in one batch and write
+    each one's report, its resamples seeded by the report's file name."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fits = fit_stages("state", {label: (records, subtract,
-                                        resample_seed(config.seed, f"state_{label}.txt"))
-                                for label, (records, subtract) in stages.items()},
+    names = {label: "process_chi.txt" if kind == "process" else f"state_{label}.txt"
+             for label in stages}
+    fits = fit_stages(kind, {label: (records, subtract, resample_seed(config.seed, names[label]))
+                             for label, (records, subtract) in stages.items()},
                       config.tomography, config.mc_samples)
     for label, (result, _) in fits.items():
-        (outdir / f"state_{label}.txt").write_text(_state_report(result, label))
+        (outdir / names[label]).write_text(_state_report(result, label))
     return {label: result for label, (result, _) in fits.items()}
 
 
@@ -141,20 +142,14 @@ def run_reconstruct_state(config: ExperimentConfig, outdir: str | Path,
                           subtract: bool = True) -> TomographyResult:
     """Reconstruct a two-qubit state from a count CSV and write its report."""
     records = read_counts_csv(counts_path)
-    return _fit_states(config, outdir, {label: (records, subtract)})[label]
+    return _fit_and_write("state", config, outdir, {label: (records, subtract)})[label]
 
 
 def run_reconstruct_process(config: ExperimentConfig, outdir: str | Path,
                             counts_path: str | Path) -> TomographyResult:
     """Reconstruct the conversion process from a count CSV and write its report."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     records = read_counts_csv(counts_path)
-    seed = resample_seed(config.seed, "process_chi.txt")
-    result, _ = fit_stages("process", {"process": (records, False, seed)},
-                           config.tomography, config.mc_samples)["process"]
-    (outdir / "process_chi.txt").write_text(_state_report(result, "process"))
-    return result
+    return _fit_and_write("process", config, outdir, {"process": (records, False)})["process"]
 
 
 def run_chsh(config: ExperimentConfig, outdir: str | Path,
@@ -200,8 +195,9 @@ def run_report(config: ExperimentConfig, outdir: str | Path) -> dict[str, float]
     outdir = Path(outdir)
     paths = run_simulate(config, outdir)
     ins, outs = (read_counts_csv(paths[table]) for table in ("state_input", "state_output"))
-    fits = _fit_states(config, outdir, {"input_raw": (ins, False), "input": (ins, True),
-                                        "output_raw": (outs, False), "output": (outs, True)})
+    fits = _fit_and_write("state", config, outdir, {
+        "input_raw": (ins, False), "input": (ins, True),
+        "output_raw": (outs, False), "output": (outs, True)})
 
     proc = run_reconstruct_process(config, outdir, paths["process"])
     bell = run_chsh(config, outdir, paths["chsh"])

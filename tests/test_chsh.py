@@ -264,8 +264,8 @@ class TestSimulatedStatistics:
         records = self._simulated_records(100.0, seed=12)
         raw = np.array([r.coincidences for r in records])
         values = []
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=5))
-        for _ in range(200):
+        for i in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(i,)))
             resampled = [replace(r, coincidences=float(c))
                          for r, c in zip(records, rng.poisson(raw))]
             values.append(chsh_s(REFERENCE_ANGLES, resampled).s_value)

@@ -28,8 +28,7 @@ DET = DetectionModel()
 
 def oracle(seed, *key):
     """The generator numpy derives for (seed, key...): the reference every
-    stream of the count simulator must reproduce, and with no key the one
-    the resampler draws from."""
+    stream of the count simulator and the resampler must reproduce."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
@@ -201,14 +200,13 @@ class TestStreams:
         assert resample_seed(43, "state_output.txt") != resample_seed(42, "state_output.txt")
 
     def test_poisson_resamples_equal_per_sample_streams(self):
-        """Row s is the (s + 1)-th array draw from one generator of the seed,
-        so a shorter call returns the first rows of a longer one."""
+        """Row s is one draw from the stream keyed (seed, s), so a shorter
+        call returns the first rows of a longer one."""
         means = [0.0, 0.4, 3.0, 17.5, 1234.0]
         draws = poisson_resamples(means, 50, seed=77)
         assert draws.shape == (50, 5) and draws.dtype == float
-        rng = oracle(77)
-        for row in draws:
-            assert row.tolist() == [float(c) for c in rng.poisson(np.array(means))]
+        for s, row in enumerate(draws):
+            assert row.tolist() == [float(c) for c in oracle(77, s).poisson(np.array(means))]
         assert poisson_resamples(means, 20, seed=77).tolist() == draws[:20].tolist()
 
     def test_poisson_resamples_need_two_samples(self):
@@ -257,9 +255,9 @@ class TestStreamOracle:
         means = np.array(ORACLE_MEANS).reshape(-1, 2)
         assert _poisson_rows(means, seed) == \
             [oracle(seed, i, 0).poisson(row).tolist() for i, row in enumerate(means)]
-        rng = oracle(seed)
         assert poisson_resamples(ORACLE_MEANS, 30, seed).tolist() == \
-            [rng.poisson(np.array(ORACLE_MEANS)).astype(float).tolist() for _ in range(30)]
+            [oracle(seed, s).poisson(np.array(ORACLE_MEANS)).astype(float).tolist()
+             for s in range(30)]
 
     def test_negative_seed_raises_like_seed_sequence(self):
         with pytest.raises(ValueError):

@@ -401,19 +401,19 @@ def test_metrics_on_a_stack_equal_the_per_estimate_loop(name):
 
 
 #: every *_err of the five default report stages on seed 103, computed one
-#: estimate at a time: the metrics looped over the resample estimates of
-#: each stage's own ``mle_tables`` batch, with the resamples one
-#: ``poisson_resamples`` draw from the stage's ``resample_seed``
+#: estimate at a time before the metrics took the stack of estimates; the
+#: output stages re-derived so when a lone row stopped taking BLAS's
+#: matrix-vector path in ``minimize_rows``
 PER_ESTIMATE_ERRORS = {
-    "input_raw": {"fidelity": 0.0005341614264643351, "purity": 0.001038767308575441,
-                  "tangle": 0.0019274842454786213},
-    "input": {"fidelity": 0.0005498079531042941, "purity": 0.0010599323440181028,
-              "tangle": 0.00211119009471827},
-    "output_raw": {"fidelity": 0.004225585319691744, "purity": 0.008027802055538096,
-                   "tangle": 0.015535207505584937},
-    "output": {"fidelity": 0.003990515737665742, "purity": 0.007831690790790855,
-               "tangle": 0.01622134822037885},
-    "process": {"fidelity": 3.0038782699367554e-05, "purity": 6.011491487638359e-05},
+    "input_raw": {"fidelity": 0.0005205762096086602, "purity": 0.001049441921048636,
+                  "tangle": 0.0020522607237668223},
+    "input": {"fidelity": 0.0005485128540786452, "purity": 0.0011846966205962392,
+              "tangle": 0.0021572785569664854},
+    "output_raw": {"fidelity": 0.0044244576457516645, "purity": 0.008384495285052113,
+                   "tangle": 0.016486154443434774},
+    "output": {"fidelity": 0.004787146654068048, "purity": 0.009339511497340323,
+               "tangle": 0.019078418928575522},
+    "process": {"fidelity": 3.076409572559703e-05, "purity": 6.291720524275069e-05},
 }
 
 
