@@ -212,11 +212,6 @@ DETECTION_KEYS = (
     ("singles_rate_b_cps", "singles_rate_b"),
 )
 
-# Retired tomography keys: older files load at the one value each may hold.
-RETIRED = {("tomography", "fit_normalization"): "False",
-           ("tomography", "tp_mode"): "constrain", ("tomography", "start"): "inversion"}
-
-
 _hints = cache(get_type_hints)  # resolving string annotations takes ~0.2 ms a call
 
 
@@ -282,9 +277,9 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse an INI configuration written by save_config (or by hand).
 
-    Unknown sections or keys, floats that are not finite, booleans other
-    than True/False and retired keys off their one value raise a ConfigError
-    naming the section and key; a failed range check names its section.
+    Unknown sections or keys, floats that are not finite and booleans other
+    than True/False raise a ConfigError naming the section and key; a failed
+    range check names its section.
     """
     cp = configparser.ConfigParser()
     try:
@@ -306,10 +301,7 @@ def _from_ini(cp: configparser.ConfigParser) -> ExperimentConfig:
         if allowed is None:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            retired = RETIRED.get((section, key))
-            if retired not in (None, cp[section][key]):
-                raise ConfigError(f"[{section}] {key}: retired, only {retired!r} is supported")
-            if retired is None and key not in allowed:
+            if key not in allowed:
                 raise ConfigError(f"unknown key [{section}] {key}")
         if stage is not None:
             values["detection"][stage] = _checked(f"[{section}]", DetectionModel, **{

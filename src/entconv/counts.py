@@ -8,8 +8,10 @@ Random streams: record i of a sampled table draws from the SeedSequence
 stream keyed (seed, i, 0), resample s from the one keyed (seed, s), so runs
 are reproducible and settings can be sampled in any order or in parallel;
 the PCG64 states of all keys of a call are computed in one vectorised pass.
-``table_order`` matches a table's records to the settings an analysis
-expects, and raises every layout fault of a count table.
+``stage_seed`` derives each simulated table's seed from the run seed; the
+seeds of a report's resamples are the pipeline's. ``table_order`` matches a
+table's records to the settings an analysis expects, and raises every
+layout fault of a count table.
 """
 from __future__ import annotations
 
@@ -124,27 +126,6 @@ def stage_seed(seed: int, stage: str) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def resample_seed(seed: int, report: str) -> int:
-    """Seed of the resamples behind the report file named ``report``, the same in
-    every command that writes it; a file the report does not write takes key 0."""
-    reports = ("process_chi.txt", "chsh.txt", "state_input_raw.txt", "state_input.txt",
-               "state_output_raw.txt", "state_output.txt")
-    key = reports.index(report) + 1 if report in reports else 0
-    ss = np.random.SeedSequence(entropy=stage_seed(seed, "monte_carlo"), spawn_key=(key,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def parse_setting(setting: str) -> tuple[str, float | str]:
-    """Classify a setting string as ("label", L) or ("angle", degrees)."""
-    s = str(setting).strip()
-    if s in PROJECTOR_LABELS:
-        return "label", s
-    try:
-        return "angle", float(s)
-    except ValueError:
-        raise ValueError(f"setting must be one of {PROJECTOR_LABELS} or an angle, got {setting!r}") from None
-
-
 #: Analyzer angles closer than this, in degrees modulo 180, are one setting.
 _ANGLE_TOL = 1e-6
 
@@ -197,10 +178,14 @@ def table_order(records: list[CountRecord],
 
 def setting_projector(setting: str) -> np.ndarray:
     """2x2 projector for a polarization label or an analyzer angle in degrees."""
-    kind, value = parse_setting(setting)
-    if kind == "label":
-        return projector(value)
-    t = np.radians(value)
+    s = str(setting).strip()
+    if s in PROJECTOR_LABELS:
+        return projector(s)
+    try:
+        t = np.radians(float(s))
+    except ValueError:
+        raise ValueError(f"setting must be one of {PROJECTOR_LABELS} or an angle, "
+                         f"got {setting!r}") from None
     v = np.array([np.cos(t), np.sin(t)], dtype=complex)
     return np.outer(v, v.conj())
 

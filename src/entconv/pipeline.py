@@ -8,6 +8,7 @@ matrix blocks) and are byte-reproducible for a fixed configuration and seed.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .chsh import ChshResult, chsh_s, chsh_sigma_resampled
 from .config import ExperimentConfig
 from .conversion import convert, convert_qubit, efficiency_budget, focusing_factor, source_state
 from .counts import (CountRecord, expected_counts, expected_process_counts,
-                     poisson_resamples, read_counts_csv, resample_seed, simulate_counts,
+                     poisson_resamples, read_counts_csv, simulate_counts,
                      simulate_process_counts, stage_seed, write_counts_csv)
 from .reference import REFERENCE_VALUES
 from .reports import emit_keyvalues, emit_report
@@ -33,6 +34,16 @@ COUNT_FILES = {
 }
 
 
+def resample_seed(seed: int, report: str) -> int:
+    """Seed of the resamples behind the report file named ``report``, the same in
+    every command that writes it; a file the report does not write takes key 0."""
+    reports = ("process_chi.txt", "chsh.txt", "state_input_raw.txt", "state_input.txt",
+               "state_output_raw.txt", "state_output.txt")
+    key = reports.index(report) + 1 if report in reports else 0
+    ss = np.random.SeedSequence(entropy=stage_seed(seed, "monte_carlo"), spawn_key=(key,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path]:
     """Generate the four count tables for one simulated run.
 
@@ -44,13 +55,12 @@ def run_simulate(config: ExperimentConfig, outdir: str | Path) -> dict[str, Path
     rho_src = source_state(config.source)
     rho_conv, _ = convert(rho_src, config.conversion)
     acq, det = config.acquisition, config.detection
-    chsh_settings = [(repr(a), repr(b)) for a, b in config.chsh.measurement_angles()]
     pair_stages = {
         "state_input": (rho_src, tomography_settings(), det["input"], acq.input_duration),
         "state_output": (rho_conv, tomography_settings(), det["output"],
                          acq.output_duration),
-        "chsh": (werner_state(config.chsh_source_p), chsh_settings, det["chsh"],
-                 acq.chsh_duration),
+        "chsh": (werner_state(config.chsh_source_p), config.chsh.measurement_angles(),
+                 det["chsh"], acq.chsh_duration),
     }
     tables = {}
     for stage, (rho, settings, stage_det, duration) in pair_stages.items():
@@ -107,16 +117,10 @@ def fit_stages(kind: str, stages: dict[str, tuple[list[CountRecord], bool, int]]
 
 
 def _state_report(result: TomographyResult, label: str) -> str:
-    m = result.metrics
-    items = {
-        "kind": result.kind, "label": label, "converged": result.converged,
-        "iterations": result.iterations, "log_likelihood": result.log_likelihood,
-        "fidelity": m.fidelity, "fidelity_err": m.fidelity_err,
-        "purity": m.purity, "purity_err": m.purity_err,
-    }
-    if m.tangle is not None:
-        items["tangle"] = m.tangle
-        items["tangle_err"] = m.tangle_err
+    items = {"kind": result.kind, "label": label, "converged": result.converged,
+             "iterations": result.iterations, "log_likelihood": result.log_likelihood}
+    for name in METRICS[result.kind]:
+        items |= {key: getattr(result.metrics, key) for key in (name, f"{name}_err")}
     return emit_report(items, result.estimate)
 
 
@@ -140,7 +144,11 @@ def _fit_and_write(kind: str, config: ExperimentConfig, outdir: str | Path,
 def run_reconstruct_state(config: ExperimentConfig, outdir: str | Path,
                           counts_path: str | Path, label: str,
                           subtract: bool = True) -> TomographyResult:
-    """Reconstruct a two-qubit state from a count CSV and write its report."""
+    """Reconstruct a two-qubit state from a count CSV and write its report
+    ``state_<label>.txt``; an empty label, or one with a path separator, is
+    a ``ValueError``."""
+    if not label or {"/", os.sep} & set(label):
+        raise ValueError(f"label {label!r} must be nonempty and contain no path separator")
     records = read_counts_csv(counts_path)
     return _fit_and_write("state", config, outdir, {label: (records, subtract)})[label]
 

@@ -90,15 +90,8 @@ _PROCESS_W_T = _PROCESS_W.transpose(0, 2, 1).reshape(36, 16)
 _HERM_BASIS = _kron_grid(np.array(PAULIS), np.array(PAULIS)).reshape(16, 4, 4) / 2.0
 
 
-def _design_matrix() -> np.ndarray:
-    """Tr[(P_a x P_b) B_k] for each canonical setting and basis element."""
-    design = np.real(np.einsum("sij,kji->sk", _STATE_PROJS, _HERM_BASIS))
-    if np.linalg.matrix_rank(design) < 16:
-        raise ReconstructionError("rank-deficient design matrix")
-    return design
-
-
-_DESIGN = _design_matrix()
+#: Tr[(P_a x P_b) B_k] for each canonical setting and basis element (rank 16).
+_DESIGN = np.real(np.einsum("sij,kji->sk", _STATE_PROJS, _HERM_BASIS))
 
 
 def _param_map() -> np.ndarray:
@@ -468,9 +461,8 @@ def linear_inversion_state(records: list[CountRecord]) -> np.ndarray:
     Hermitian operator basis. Used as an independent cross-check on the
     likelihood fit, which starts from the same inversion.
     """
-    order = table_order(records, _SETTINGS)
-    rates = np.array([[records[i].coincidences / records[i].duration for i in order]])
-    rho, first_empty = _inversion(rates)
+    durations, raw = _batch_table(records, [[r.coincidences for r in records]])
+    rho, first_empty = _inversion(raw / durations)
     if first_empty[0] >= 0:
         a, b = _SETTINGS[first_empty[0]]
         raise ReconstructionError(f"basis group of ({a}, {b}) has zero counts")

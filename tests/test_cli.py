@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entconv import pipeline
 from entconv.cli import main
 from entconv.config import default_config, save_config
 from entconv.counts import read_counts_csv, write_counts_csv
@@ -96,17 +97,6 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 2
 
 
-@pytest.mark.parametrize("line, supported", [("fit_normalization = True", "False"),
-                                             ("tp_mode = normalize", "constrain"),
-                                             ("start = mixed", "inversion")])
-def test_retired_key_off_its_value_exits_2(tmp_path, config_path, capsys, line, supported):
-    text = config_path.read_text()
-    config_path.write_text(text.replace("[tomography]\n", f"[tomography]\n{line}\n"))
-    assert main(["--config", str(config_path), "--out", str(tmp_path / "o"), "simulate"]) == 2
-    key = line.split(" =")[0]
-    assert f"[tomography] {key}: retired, only {supported!r} is supported" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("option, value, message", [
     ("--seed", "-3", "seed must be >= 0, got -3"),
     ("--mc-samples", "1", "mc_samples must be >= 2, got 1"),
@@ -114,6 +104,20 @@ def test_retired_key_off_its_value_exits_2(tmp_path, config_path, capsys, line, 
 def test_invalid_override_exits_2(tmp_path, capsys, option, value, message):
     assert main([option, value, "--out", str(tmp_path / "o"), "simulate"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["", "../../x", "a/b"])
+def test_bad_state_label_exits_2_before_any_fit(tmp_path, config_path, capsys, monkeypatch,
+                                                 label):
+    out = tmp_path / "out"
+    assert main(["--config", str(config_path), "--out", str(out), "simulate"]) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(pipeline, "fit_stages", lambda *args: pytest.fail("a fit ran"))
+    assert main(["--config", str(config_path), "--out", str(out),
+                 "reconstruct-state", "--label", label]) == 2
+    assert f"error: label {label!r} must be nonempty" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_missing_counts_exits_4(tmp_path, config_path):

@@ -24,9 +24,6 @@ DATA = Path(__file__).parent / "data"
 # The keys written since [process] eta_h/eta_v joined the format; files
 # written before then lack exactly these lines.
 ADDED_LINES = ("eta_h = 1.0\n", "eta_v = 1.0\n")
-# The [tomography] lines of retired options that files written while they
-# existed carry, each at the one value the fits implement.
-RETIRED_LINES = "fit_normalization = False\ntp_mode = constrain\nstart = inversion\n"
 # ExperimentConfig fields stored outside the field table: the werner/custom
 # branch of [source] and the [detection.<stage>] sections.
 NOT_IN_TABLE = {"source.p", "source.state", "detection"}
@@ -267,14 +264,6 @@ class TestConfig:
             text = text.replace(line, "")
         path = tmp_path / "old.ini"
         path.write_text(text)
-        assert same_config(load_config(path), default_config())
-
-    def test_file_with_retired_keys_loads_default(self, tmp_path):
-        # the default config as written while the retired options existed
-        text = (DATA / "default.ini").read_text()
-        assert text.count("rel_tol = 1e-10\n") == 1
-        path = tmp_path / "retired.ini"
-        path.write_text(text.replace("rel_tol = 1e-10\n", "rel_tol = 1e-10\n" + RETIRED_LINES))
         assert same_config(load_config(path), default_config())
 
     @pytest.mark.parametrize("path, value", [("process.channel.eta_h", 0.5),

@@ -14,10 +14,10 @@ from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, c
                                 convert_qubit, source_state)
 from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, _poisson_rows,
                             _streams, expected_counts, expected_process_counts,
-                            parse_setting, poisson_resamples, read_counts_csv,
-                            resample_seed, setting_projector, simulate_counts,
-                            simulate_process_counts, stage_seed, table_order,
-                            write_counts_csv)
+                            poisson_resamples, read_counts_csv, setting_projector,
+                            simulate_counts, simulate_process_counts, stage_seed,
+                            table_order, write_counts_csv)
+from entconv.pipeline import resample_seed
 from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
 from entconv.tomography import linear_inversion_state, tomography_settings
 
@@ -44,9 +44,9 @@ class TestSettings:
     def test_angle_zero_is_h(self):
         assert np.allclose(setting_projector("0.0"), projector("H"))
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_setting("Q")
+    def test_projector_rejects_garbage(self):
+        with pytest.raises(ValueError, match="got 'Q'"):
+            setting_projector("Q")
 
 
 class TestExpectedCounts:

@@ -12,8 +12,8 @@ from entconv import pipeline
 from entconv.config import default_config
 from entconv.conversion import ConversionParams, DetectionModel, SourceModel, convert_qubit
 from entconv.counts import (CountRecord, expected_counts, poisson_resamples, read_counts_csv,
-                            resample_seed, simulate_counts, simulate_process_counts)
-from entconv.pipeline import (COUNT_FILES, fit_stages, run_report,
+                            simulate_counts, simulate_process_counts)
+from entconv.pipeline import (COUNT_FILES, fit_stages, resample_seed, run_report,
                               run_reconstruct_process, run_reconstruct_state, run_simulate)
 from entconv.states import (bell_state, concurrence, fidelity, purity, tangle,
                             werner_state)

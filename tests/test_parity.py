@@ -27,3 +27,10 @@ def test_moved_lines_name_each_change():
     assert parity.moved_lines(old, old.replace("H,V", "H,H")) == [
         ("line 4", "text: 'H,V,1.0,2.0' -> 'H,H,1.0,2.0'")]
     assert parity.moved_lines(old, old + "x = 1\n") == [("(file)", "text: 4 -> 5 lines")]
+
+
+def test_compare_unknown_commit_exits_2_with_one_line(capsys):
+    assert parity.main(["compare", "no-such-commit-e7c0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: git archive cannot read commit 'no-such-commit-e7c0'\n"

@@ -8,8 +8,8 @@ from entconv.counts import (CountDataError, CountRecord, expected_counts,
                             simulate_process_counts)
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
                             ket2dm, projector, purity, trace_distance, werner_state)
-from entconv.tomography import (METRICS, ReconstructionError, _chi_of_choi, _choi_of_chi,
-                                chi_to_transfer, TomographyOptions, channel_chi,
+from entconv.tomography import (_DESIGN, METRICS, ReconstructionError, _chi_of_choi,
+                                _choi_of_chi, chi_to_transfer, TomographyOptions, channel_chi,
                                 check_chi_matrix, identity_chi, linear_inversion_state,
                                 mle_process, mle_state, mle_tables, monte_carlo_errors,
                                 subtract_accidentals, tomography_settings, tp_violation)
@@ -69,6 +69,11 @@ class TestSubtractAccidentals:
 
 
 class TestLinearInversion:
+    def test_design_matrix_has_full_rank(self):
+        # the 36 settings determine all 16 Hermitian basis coefficients
+        assert _DESIGN.shape == (36, 16)
+        assert np.linalg.matrix_rank(_DESIGN) == 16
+
     def test_exact_on_noiseless_bell_data(self):
         rho = ket2dm(bell_state("phi+"))
         est = linear_inversion_state(noiseless_records(rho))

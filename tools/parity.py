@@ -22,7 +22,8 @@ directory, writes both trees' outputs, each in a fresh interpreter that
 imports that tree's ``entconv`` and ``perfbench``, and prints every line of
 a file whose hash differs: its file, its key (the name before `` = ``, else
 its line number), and the largest absolute and relative change of its
-numbers, or ``text`` when a word differs. It exits 1 when an entry moved.
+numbers, or ``text`` when a word differs. It exits 1 when an entry moved,
+and 2 when git cannot archive COMMIT.
 Only the standard library and numpy are used here.
 """
 from __future__ import annotations
@@ -208,8 +209,11 @@ def main(argv: list[str] | None = None) -> int:
         old_tree = Path(work) / "old"
         old_tree.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.commit],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(old_tree)], input=archive, check=True)
+                                 capture_output=True)
+        if archive.returncode:
+            print(f"error: git archive cannot read commit {args.commit!r}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(old_tree)], input=archive.stdout, check=True)
         moved, entries = compare(old_tree, ROOT, args.quick)
     print("\n".join(moved) if moved else "no moved entry")
     print(f"{len(moved)} moved entries in {len(entries)} files, against {args.commit}",
