@@ -7,7 +7,9 @@ once: the same direction (L-BFGS with H0 = (s'y / y'y) I), first step
 parameters below), restart on a failed search, memory-update skip rule and
 stopping rules. Rows never interact, to the bit: each evaluation round calls
 the objective once on the rows still searching, a lone row as a pair (BLAS
-rounds a one-row product differently).
+rounds a one-row product differently). The rows still iterating form one block,
+compacted when a row stops, whose memories are a ring with one head for all
+rows: the i-th newest pair is in slot (head + i) % maxcor.
 """
 from __future__ import annotations
 
@@ -23,20 +25,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kp,kp->k", a, b)
 
 
-def _two_loop(g, s_mem, y_mem, rho_mem):
-    """L-BFGS product H g per row; memory slots newest first, empty slots zero."""
-    depth = int(np.max(np.count_nonzero(rho_mem, axis=1)))
-    q = g.copy()
-    alpha = np.zeros(rho_mem.shape)
-    for i in range(depth):
-        alpha[:, i] = rho_mem[:, i] * _dot(s_mem[:, i], q)
-        q -= alpha[:, i, None] * y_mem[:, i]
-    has = rho_mem[:, 0] > 0.0
-    yy = np.where(has, rho_mem[:, 0] * _dot(y_mem[:, 0], y_mem[:, 0]), 1.0)
+def _two_loop(g, s_mem, y_mem, rho_mem, head):
+    """L-BFGS product H g per row; memories are slot-major (m, rows, n), the
+    i-th newest pair in slot (head + i) % m, empty slots zero."""
+    slots = (head + np.arange(np.count_nonzero(rho_mem, axis=0).max())) % len(rho_mem)
+    q, alpha = g.copy(), np.zeros(rho_mem.shape)
+    for i in slots:
+        alpha[i] = rho_mem[i] * _dot(s_mem[i], q)
+        q -= alpha[i, :, None] * y_mem[i]
+    has = rho_mem[head] > 0.0
+    yy = np.where(has, rho_mem[head] * _dot(y_mem[head], y_mem[head]), 1.0)
     r = np.where(has, 1.0 / yy, 1.0)[:, None] * q
-    for i in reversed(range(depth)):
-        beta = rho_mem[:, i] * _dot(y_mem[:, i], r)
-        r += (alpha[:, i] - beta)[:, None] * s_mem[:, i]
+    for i in slots[::-1]:
+        beta = rho_mem[i] * _dot(y_mem[i], r)
+        r += (alpha[i] - beta)[:, None] * s_mem[i]
     return r
 
 
@@ -94,21 +96,19 @@ def _line_search(fun, rows, x, f, g, d, stp):
     A row stops at a step with f <= f0 + ftol stp g0'd and |g'd| <= gtol
     |g0'd|, or where rounding or the bracket width prevents progress (the
     trial point is then taken as it is). Returns which rows stopped within
-    ``_MAX_EVALS`` evaluations and their new points; a row where d is not a
-    descent direction fails at once.
+    ``_MAX_EVALS`` evaluations and their new points, the start where a row
+    failed; a row where d is not a descent direction fails at once.
     """
     n = len(rows)
     ginit = _dot(g, d)
     gtest = _FTOL * ginit
     stx, fx, gx = np.zeros(n), f.copy(), ginit.copy()
     sty, fy, gy = np.zeros(n), f.copy(), ginit.copy()
-    stp = stp.copy()
-    stmin, stmax = np.zeros(n), 5.0 * stp
-    width = np.full(n, _STPMAX)
-    width1 = 2.0 * width
+    stp, stmin, stmax = stp.copy(), np.zeros(n), 5.0 * stp
+    width, width1 = np.full(n, _STPMAX), np.full(n, 2.0 * _STPMAX)
     brackt, stage1 = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     found = np.zeros(n, dtype=bool)
-    x_new, f_new, g_new = np.empty_like(x), np.empty_like(f), np.empty_like(g)
+    x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
     i = np.flatnonzero(ginit < 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_EVALS if i.size else 0):
@@ -132,10 +132,8 @@ def _line_search(fun, rows, x, f, g, d, stp):
             stx[i], fx[i], gx[i], sty[i], fy[i], gy[i], step, brackt[i] = _dcstep(
                 stx[i], fx[i] - stx[i] * m, gx[i] - m, sty[i], fy[i] - sty[i] * m, gy[i] - m,
                 stp[i], ft - stp[i] * m, dt - m, brackt[i], stmin[i], stmax[i])
-            fx[i] += stx[i] * m
-            fy[i] += sty[i] * m
-            gx[i] += m
-            gy[i] += m
+            fx[i], fy[i] = fx[i] + stx[i] * m, fy[i] + sty[i] * m
+            gx[i], gy[i] = gx[i] + m, gy[i] + m
             b = brackt[i]
             span = np.abs(sty[i] - stx[i])
             step = np.where(b & (span >= 0.66 * width1[i]), stx[i] + 0.5 * (sty[i] - stx[i]), step)
@@ -172,45 +170,46 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
 
     x = x0.copy()
     n_rows, n_par = x.shape
-    f, g = np.zeros(n_rows), np.zeros_like(x)
+    f, g, nit = np.zeros(n_rows), np.zeros_like(x), np.zeros(n_rows, dtype=int)
     rows = np.flatnonzero(fit)
     f[rows], g[rows] = evaluate(x[rows], rows)
     converged = fit & (np.max(np.abs(g), axis=1) <= pgtol)
-    active = fit & ~converged
-    s_mem, y_mem = np.zeros((2, n_rows, maxcor, n_par))
-    rho_mem = np.zeros((n_rows, maxcor))
-    nit = np.zeros(n_rows, dtype=int)
     history = [f.copy()]
+    idx = np.flatnonzero(fit & ~converged)  # the block of rows still iterating
+    bx, bf, bg, btol, bnit = x[idx], f[idx], g[idx], pgtol[idx], nit[idx]
+    s_mem, y_mem = np.zeros((2, maxcor, len(idx), n_par))
+    rho_mem, head = np.zeros((maxcor, len(idx))), 0
 
-    def search(r):
-        d = -_two_loop(g[r], s_mem[r], y_mem[r], rho_mem[r])
-        stp = np.where(nit[r] == 0, 1.0 / np.linalg.norm(d, axis=1), 1.0)
-        return _line_search(evaluate, r, x[r], f[r], g[r], d, stp)
+    def search(k):
+        d = -_two_loop(bg[k], s_mem[:, k], y_mem[:, k], rho_mem[:, k], head)
+        stp = np.where(bnit[k] == 0, 1.0 / np.linalg.norm(d, axis=1), 1.0)
+        return _line_search(evaluate, idx[k], bx[k], bf[k], bg[k], d, stp)
 
-    while active.any():
-        rows = np.flatnonzero(active)
-        found, x_new, f_new, g_new = search(rows)
-        retry = np.flatnonzero(~found & (rho_mem[rows, 0] > 0.0))
+    while idx.size:
+        found, x_new, f_new, g_new = search(slice(None))
+        retry = np.flatnonzero(~found & (rho_mem[head] > 0.0))
         if retry.size:
-            r = rows[retry]
-            s_mem[r], y_mem[r], rho_mem[r] = 0.0, 0.0, 0.0
-            found[retry], x_new[retry], f_new[retry], g_new[retry] = search(r)
-        active[rows[~found]] = False
-        rows, x_new, f_new, g_new = rows[found], x_new[found], f_new[found], g_new[found]
-        s, y = x_new - x[rows], g_new - g[rows]
+            s_mem[:, retry], y_mem[:, retry], rho_mem[:, retry] = 0.0, 0.0, 0.0
+            found[retry], x_new[retry], f_new[retry], g_new[retry] = search(retry)
+        s, y = x_new - bx, g_new - bg  # zero where the search failed
         sy = _dot(s, y)
-        keep = sy > np.finfo(float).eps * -_dot(g[rows], s)
-        r = rows[keep]
-        s_mem[r, 1:], y_mem[r, 1:], rho_mem[r, 1:] = s_mem[r, :-1], y_mem[r, :-1], rho_mem[r, :-1]
-        s_mem[r, 0], y_mem[r, 0], rho_mem[r, 0] = s[keep], y[keep], 1.0 / sy[keep]
-        f_old = f[rows]
-        x[rows], f[rows], g[rows] = x_new, f_new, g_new
-        nit[rows] += 1
-        done = ((np.max(np.abs(g_new), axis=1) <= pgtol[rows])
-                | (f_old - f_new <= rel_tol * np.maximum(
-                    np.maximum(np.abs(f_old), np.abs(f_new)), 1.0)))
-        out_of_iters = nit[rows] >= max_iters
-        converged[rows] = done & ~out_of_iters
-        active[rows] = ~done & ~out_of_iters
+        keep = sy > np.finfo(float).eps * -_dot(bg, s)
+        head = (head - 1) % maxcor
+        if not keep.all():  # a row that skips its update keeps its pairs' order
+            for mem in (s_mem, y_mem, rho_mem):
+                mem[:, ~keep] = np.roll(mem[:, ~keep], -1, axis=0)
+        k = slice(None) if keep.all() else keep
+        s_mem[head, k], y_mem[head, k], rho_mem[head, k] = s[k], y[k], 1.0 / sy[k]
+        scale = np.maximum(np.maximum(np.abs(bf), np.abs(f_new)), 1.0)
+        done = found & ((np.max(np.abs(g_new), axis=1) <= btol) | (bf - f_new <= rel_tol * scale))
+        bx, bf, bg, bnit = x_new, f_new, g_new, bnit + found
+        f[idx] = bf
+        leave = ~found | done | (bnit >= max_iters)
+        if leave.any():  # write the rows back and drop them from the block
+            out = idx[leave]
+            x[out], nit[out] = bx[leave], bnit[leave]
+            converged[out] = (done & (bnit < max_iters))[leave]
+            idx, bx, bf, bg, btol, bnit = (a[~leave] for a in (idx, bx, bf, bg, btol, bnit))
+            s_mem, y_mem, rho_mem = s_mem[:, ~leave], y_mem[:, ~leave], rho_mem[:, ~leave]
         history.append(f.copy())
     return x, converged, np.array(history), nit

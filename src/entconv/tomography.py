@@ -10,9 +10,8 @@ J = M^dag M followed by the exact trace-preservation retraction
 J -> (I x G^{-1/2}) J (I x G^{-1/2}) with G = Tr_out J, so every estimate is
 trace preserving, then converts to the chi representation in the Pauli basis
 (I, X, Y, Z). Each fit kind has this one likelihood model. Both objectives have
-analytic gradients; the process gradient is pulled back through the
-retraction by the chain rule, with the derivative of G^{-1/2} taken from its
-eigendecomposition (Daleckii-Krein divided differences).
+analytic gradients; the process gradient is pulled back through the retraction
+by the chain rule, with G^{-1/2} and its derivative in closed form (G is 2x2).
 
 Both objectives take a leading batch axis: one row per count table, rows
 independent. ``mle_tables`` fits the rows of several tables of a kind in one
@@ -46,8 +45,9 @@ class ReconstructionError(RuntimeError):
 
 _TRIU_R, _TRIU_C = np.triu_indices(4, 1)
 
-#: Probabilities below this floor are clipped in both likelihoods.
-_P_FLOOR = 1e-12
+#: Probabilities below _P_FLOOR are clipped in both likelihoods; eigenvalues of
+#: the process retraction's G below _G_FLOOR are raised to it.
+_P_FLOOR, _G_FLOOR = 1e-12, 1e-14
 
 #: (gtol, L-BFGS memory) of the state and of the process fit, for the scipy
 #: point fits and the batched resample fits alike.
@@ -229,52 +229,53 @@ def _state_nll(t, counts, norms):
     return nll, -2.0 * _t_to_params((T @ m - wc * T) / tau)
 
 
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """(B, 4, 4) operators on out x in as 2x2 grids of 2x2 blocks on the input.
-
-    X = I x S acts blockwise: (X a X)[k, l] = S a[k, l] S.
-    """
-    return a.reshape(-1, 2, 2, 2, 2).swapaxes(2, 3)
+#: the identity, and the signs that turn a flipped 2x2 transpose into its adjugate
+_I2, _ADJ_SIGNS = np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _from_blocks(b: np.ndarray) -> np.ndarray:
-    return b.swapaxes(2, 3).reshape(-1, 4, 4)
-
-
-def _retraction(j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The trace-preserving Choi matrices X j X, X = I x S, S = G^{-1/2} for
-    G = Tr_out j, of a (B, 4, 4) stack, with S, the square roots of G's
-    eigenvalues and its eigenvectors."""
-    jb = _blocks(j)
-    lam, v = np.linalg.eigh(jb[:, 0, 0] + jb[:, 1, 1])
-    r = np.sqrt(np.clip(lam, 1e-14, None))
-    s = (v * (1.0 / r)[:, None, :]) @ _dag(v)
-    sb = s[:, None, None]
-    return _from_blocks(sb @ jb @ sb), s, r, v
+def _retraction(j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The trace-preserving Choi matrices X j X of a (B, 4, 4) stack, X = I x S and
+    S = G^{-1/2} for G = Tr_out j, with X, S, s = sqrt(det G) and t = sqrt(Tr G + 2 s):
+    (G + s I)^2 = t^2 G by Cayley-Hamilton, so G^{1/2} = (G + s I) / t, t = Tr G^{1/2},
+    and S = (adj G + s I) / (s t). Eigenvalues below ``_G_FLOOR`` are raised to it."""
+    g = j[:, :2, :2] + j[:, 2:, 2:]
+    a, d, b = g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1]
+    tr, det = a + d, a * d - (b.real * b.real + b.imag * b.imag)
+    if np.count_nonzero(det <= _G_FLOOR * tr):  # lambda_min can be below the floor only there
+        hi = tr / 2.0 + np.sqrt(((a - d) / 2.0) ** 2 + np.abs(b) ** 2)
+        low = np.flatnonzero(det <= _G_FLOOR * hi)  # lambda_min is det / hi (tr - hi cancels)
+        top = np.maximum(hi[low], _G_FLOOR)
+        hi, lo = hi[low], det[low] / top  # top = hi wherever lo is used (c = 0 elsewhere)
+        # G = lo I + (hi - lo) P, P the top eigenvector's projector, -> floor I + (top - floor) P
+        c = ((top - _G_FLOOR) / np.where(hi > lo, hi - lo, 1.0))[:, None, None]
+        g[low] = _G_FLOOR * _I2 + c * (g[low] - lo[:, None, None] * _I2)
+        tr[low], det[low] = _G_FLOOR + top, _G_FLOOR * top
+    s = np.sqrt(det)
+    t = np.sqrt(tr + 2.0 * s)
+    adj = _ADJ_SIGNS * g[:, ::-1, ::-1].swapaxes(1, 2)
+    sq = (adj + s[:, None, None] * _I2) / (s * t)[:, None, None]
+    x = (_I2[:, None, :, None] * sq[:, None, :, None, :]).reshape(-1, 4, 4)
+    return x @ j @ x, x, sq, s, t
 
 
 def _process_nll(t, counts, norms):
     T = _params_to_t(t)
     j = _dag(T) @ T
-    choi, s, r, v = _retraction(j)
-    nll, _, w = _poisson_terms(np.real(choi.reshape(-1, 16) @ _PROCESS_W_T.T),
-                               counts, norms)
+    choi, x, sq, s, tr = _retraction(j)
+    nll, _, w = _poisson_terms(np.real(choi.reshape(-1, 16) @ _PROCESS_W_T.T), counts, norms)
     k = (w @ _PROCESS_W.reshape(36, 16)).reshape(-1, 4, 4)  # dll = Tr[K dJ]
-    # J = X j X with X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS] with
-    # q = Tr_out(j X K + K X j), and dS = V (F o V^dag dG V) V^dag
-    # where F_ab = -1 / (r_a r_b (r_a + r_b)) and dG = Tr_out dj.
-    sb = s[:, None, None]
-    xk = sb @ _blocks(k)
-    q = j @ _from_blocks(xk)
-    qb = _blocks(q + _dag(q))
-    ra, rb = r[:, :, None], r[:, None, :]
-    f = -1.0 / (ra * rb * (ra + rb))
-    vh = _dag(v)
-    dg = v @ (f * (vh @ (qb[:, 0, 0] + qb[:, 1, 1]) @ v)) @ vh
-    kb = xk @ sb
-    kb[:, 0, 0] += dg
-    kb[:, 1, 1] += dg
-    return nll, -2.0 * _t_to_params(T @ _from_blocks(kb))
+    # J = X j X, X = I x S: Tr[K dJ] = Tr[X K X dj] + Tr[q dS], q = Tr_out(j X K + K X j);
+    # dS = -S Z S with R Z + Z R = dG = Tr_out dj, R = G^{1/2}, so Tr[q dS] = -Tr[Z' dG] with
+    # R Z' + Z' R = E = S q S; as adj R = s S and R + s S = t I, Z' = (E + s S E S) / (2 t).
+    xk = x @ k
+    q = j @ xk
+    q = q[:, :2, :2] + q[:, 2:, 2:]
+    e = sq @ (q + _dag(q)) @ sq
+    z = (e + s[:, None, None] * (sq @ e @ sq)) / (2.0 * tr)[:, None, None]
+    m = xk @ x
+    m[:, :2, :2] -= z
+    m[:, 2:, 2:] -= z
+    return nll, -2.0 * _t_to_params(T @ m)
 
 
 @dataclass(frozen=True)

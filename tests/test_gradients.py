@@ -20,11 +20,13 @@ ROW = slice(0, 1)
 
 
 def central_difference(fun, t, h):
+    """Central differences with step h, one number or one step per parameter."""
+    h = np.broadcast_to(h, t.shape)
     grad = np.empty_like(t)
     for i in range(t.size):
         e = np.zeros_like(t)
-        e[i] = h
-        grad[i] = (fun(t + e)[0] - fun(t - e)[0]) / (2.0 * h)
+        e[i] = h[i]
+        grad[i] = (fun(t + e)[0] - fun(t - e)[0]) / (2.0 * h[i])
     return grad
 
 
@@ -64,6 +66,21 @@ def test_process_gradient():
     objective = one_table("process", process_records(2))
     for _ in range(4):
         assert_gradient_matches(objective, rng.normal(size=16))
+
+
+def test_process_gradient_where_g_is_near_singular():
+    # Shrinking the columns of T on input index 1 (T_11, T_33, T_01, T_03,
+    # T_13, T_23) leaves G = Tr_out T^dag T with an eigenvalue near 1e-11,
+    # above the 1e-14 floor; the steps are relative, since the retraction
+    # scales those parameters up by about 1e6.
+    rng = np.random.default_rng(35)
+    t = rng.normal(size=16)
+    t[[1, 3, 4, 6, 8, 9, 10, 12, 14, 15]] *= 1e-6
+    T = tomography._params_to_t(t[None])
+    j = tomography._dag(T) @ T
+    lam = np.linalg.eigvalsh(j[0, :2, :2] + j[0, 2:, 2:])
+    assert 1e-14 < lam[0] < 1e-10 and lam[1] > 1.0
+    assert_gradient_matches(one_table("process", process_records(2)), t, h=1e-6 * np.abs(t))
 
 
 def test_state_gradient_where_probability_is_clipped():

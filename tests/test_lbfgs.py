@@ -1,5 +1,7 @@
-"""lbfgs.minimize_rows where a line search fails: the row drops its L-BFGS
-memory and retries once along -g, as scipy's L-BFGS-B restarts."""
+"""lbfgs.minimize_rows on the rare paths of scipy's L-BFGS-B: a line search
+that fails, where the row drops its L-BFGS memory and retries once along -g,
+and a step whose memory update is skipped, where the row keeps its pairs in
+order while the others update."""
 import numpy as np
 from scipy import optimize
 
@@ -20,11 +22,36 @@ def kinked(x):
             W * np.sign(x - 1.0) + 0.1 * x)
 
 
-def scipy_fit(x0):
+#: row 0 falls with slope -1 in x_0 up to x_0 = 1 and with slope -3 up to a
+#: wall at x_0 = 2; a step across x_0 = 1 that stops at the wall has s'y < 0,
+#: so its memory update is skipped. Row 1 is Rosenbrock's function plus 1.
+LEDGE_STARTS = np.array([[-3.0, 0.0], [-1.2, 1.0]])
+
+
+def ledge(x):
+    u, v = x[..., 0], x[..., 1]
+    slope = np.where(u < 1.0, -1.0, np.where(u < 2.0, -3.0, 20.0))
+    corner = np.where(u < 1.0, 0.0, np.where(u < 2.0, 2.0, -44.0))
+    f = slope * u + corner + 0.05 * u * u + 0.5 * (v - 3.0) ** 2 + 0.1 * (u - v) ** 2
+    return f, np.stack([slope + 0.1 * u + 0.2 * (u - v), v - 3.0 - 0.2 * (u - v)], axis=-1)
+
+
+def rosenbrock(x):
+    a, b = x[..., 0], x[..., 1]
+    return (1.0 + (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+            np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=-1))
+
+
+def ledge_or_rosenbrock(x, idx):
+    (f0, g0), (f1, g1) = ledge(x), rosenbrock(x)
+    return np.where(idx == 1, f1, f0), np.where((idx == 1)[:, None], g1, g0)
+
+
+def scipy_fit(fun, x0):
     history = []
 
     def value_and_grad(x):
-        f, g = kinked(x)
+        f, g = fun(x)
         if not history:
             history.append(f)
         return float(f), g
@@ -63,7 +90,38 @@ def test_failed_search_retries_along_minus_g_and_ends_where_scipy_does(monkeypat
     assert converged.tolist() == [True, True]
 
     for b, x0 in enumerate(STARTS):
-        res, scipy_history = scipy_fit(x0)
+        res, scipy_history = scipy_fit(kinked, x0)
         assert res.success and nit[b] == res.nit
+        np.testing.assert_allclose(x[b], res.x, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(history[:nit[b] + 1, b], scipy_history, rtol=1e-9)
+
+
+def test_skipped_update_keeps_the_memory_order_and_ends_where_scipy_does(monkeypatch):
+    searches = []
+    line_search = lbfgs._line_search
+
+    def recording(fun, rows, x, f, g, d, stp):
+        found, x_new, f_new, g_new = line_search(fun, rows, x, f, g, d, stp)
+        s, y = x_new - x, g_new - g
+        skip = np.sum(s * y, axis=1) <= np.finfo(float).eps * -np.sum(g * s, axis=1)
+        searches.append((rows.tolist(), found.tolist(), (found & skip).tolist()))
+        return found, x_new, f_new, g_new
+
+    monkeypatch.setattr(lbfgs, "_line_search", recording)
+    x, converged, history, nit = lbfgs.minimize_rows(
+        ledge_or_rosenbrock, LEDGE_STARTS, np.array([True, True]), np.full(2, PGTOL),
+        REL_TOL, MAX_ITERS, MAXCOR)
+
+    skipped = [k for k, (_, _, skip) in enumerate(searches) if any(skip)]
+    assert skipped
+    rows, found, skip = searches[skipped[0]]
+    assert rows == [0, 1] and found == [True, True] and skip == [True, False]
+    # row 0 holds two pairs then, so their order under the shared head matters
+    assert all(found == [True, True] and not any(skip)
+               for _, found, skip in searches[:skipped[0]]) and skipped[0] >= 2
+
+    for b, (fun, x0) in enumerate(zip((ledge, rosenbrock), LEDGE_STARTS)):
+        res, scipy_history = scipy_fit(fun, x0)
+        assert converged[b] == res.success and nit[b] == res.nit
         np.testing.assert_allclose(x[b], res.x, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(history[:nit[b] + 1, b], scipy_history, rtol=1e-9)

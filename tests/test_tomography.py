@@ -9,6 +9,7 @@ from entconv.counts import (CountDataError, CountRecord, expected_counts,
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
                             ket2dm, projector, purity, trace_distance, werner_state)
 from entconv.tomography import (_DESIGN, METRICS, ReconstructionError, _chi_of_choi,
+                                _retraction,
                                 _choi_of_chi, chi_to_transfer, TomographyOptions, channel_chi,
                                 check_chi_matrix, identity_chi, linear_inversion_state,
                                 mle_process, mle_state, mle_tables, monte_carlo_errors,
@@ -264,6 +265,77 @@ class TestChoiChi:
         ref = np.linalg.solve(basis, smat.reshape(-1, order="F")).reshape(4, 4)
         np.testing.assert_allclose(channel_chi(lambda r: convert_qubit(r, params)), ref,
                                    rtol=0, atol=1e-15)
+
+
+def eigh_inverse_sqrt(g):
+    """G^{-1/2} of a (B, 2, 2) stack from its eigendecomposition, eigenvalues
+    clipped at 1e-14."""
+    lam, v = np.linalg.eigh(g)
+    return (v / np.sqrt(np.clip(lam, 1e-14, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def relative_error(a, b):
+    return np.linalg.norm(a - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
+
+
+def tr_out(j):
+    return j[:, :2, :2] + j[:, 2:, 2:]
+
+
+_D = 2.0 ** -40
+#: Gram matrices with an eigenvalue near 1e-12 and exact determinants (the
+#: products of their entries are exact in doubles), where eigh's G^{-1/2} is
+#: accurate to 1e-13; for a generic such G both ways round differently by 1e-4.
+NEAR_SINGULAR = np.array([
+    [[1 + _D, 1j * (1 - _D)], [-1j * (1 - _D), 1 + _D]],  # eigenvalues 2^-40 and 1
+    [[1 + _D, -1j * (1 - _D)], [1j * (1 - _D), 1 + _D]],
+    np.array([[2 ** 26, 2 ** 14 - 1], [2 ** 14 - 1, 4]]) / 2 ** 25,  # 7.3e-12 and 1
+    np.array([[2 ** 26, 12000 + 11145j], [12000 - 11145j, 4]]) / 2 ** 25,  # 5.0e-11 and 1
+]) / 2.0
+#: Singular, indefinite and tiny Gram matrices, whose low eigenvalue takes the 1e-14 floor
+SINGULAR = np.array([[[1, 1], [1, 1]], [[4, 2j], [-2j, 1]], [[1, 0], [0, 0]], np.zeros((2, 2)),
+                     [[1e-15, 0], [0, 3e-15]], [[2e-14, 0], [0, 5e-15]], [[1, 0], [0, 5e-15]],
+                     [[1, 1], [1, 1 - 2.0 ** -50]],
+                     [[0.5 + 2.0 ** -48, 0.5], [0.5, 0.5 + 2.0 ** -48]]], dtype=complex)
+#: unit-trace 2x2 matrices with few-bit entries, so that Tr_out kron(A, G) is G exactly
+DYADIC = np.array([[[0.5, 0.25 + 0.25j], [0.25 - 0.25j, 0.5]],
+                   [[0.75, 0.125j], [-0.125j, 0.25]], [[1.0, 0.0], [0.0, 0.0]]])
+
+
+class TestRetraction:
+    """The closed-form G^{-1/2} of the process retraction against ``eigh``."""
+
+    @staticmethod
+    def retract_with_g(g):
+        """``_retraction`` of the Choi matrices kron(A, G), A in DYADIC, and
+        eigh's G^{-1/2} of each."""
+        j = np.einsum("aik,bjl->abijkl", DYADIC, g).reshape(-1, 4, 4)
+        assert np.array_equal(tr_out(j), np.tile(g, (len(DYADIC), 1, 1)))
+        return _retraction(j), np.tile(eigh_inverse_sqrt(g), (len(DYADIC), 1, 1))
+
+    def test_random_positive_g(self):
+        rng = np.random.default_rng(41)
+        m = rng.normal(size=(1000, 4, 4)) + 1j * rng.normal(size=(1000, 4, 4))
+        j = m.conj().swapaxes(1, 2) @ m
+        choi, x, s, _, _ = _retraction(j)
+        assert np.max(relative_error(s, eigh_inverse_sqrt(tr_out(j)))) <= 1e-12
+        assert np.array_equal(x, np.einsum("ik,bjl->bijkl", np.eye(2), s).reshape(-1, 4, 4))
+        assert np.max(np.abs(tr_out(choi) - np.eye(2))) <= 1e-12
+
+    def test_g_with_an_eigenvalue_near_1e_12(self):
+        lam = np.linalg.eigvalsh(NEAR_SINGULAR)[:, 0]
+        assert np.all((lam > 1e-13) & (lam < 1e-10))
+        (choi, _, s, _, _), reference = self.retract_with_g(NEAR_SINGULAR)
+        assert np.max(relative_error(s, reference)) <= 1e-12
+        assert np.max(np.abs(tr_out(choi) - np.eye(2))) <= 1e-12
+
+    def test_singular_g_takes_the_eigenvalue_floor(self):
+        (_, _, s, _, _), reference = self.retract_with_g(SINGULAR)
+        assert np.max(relative_error(s, reference)) <= 1e-12
+        # entry by entry where G is diagonal: a wrong floor that keeps the
+        # norm moves the entry of the large eigenvalue
+        diagonal = np.tile(~SINGULAR[:, 0, 1].astype(bool), len(DYADIC))
+        np.testing.assert_allclose(s[diagonal], reference[diagonal], rtol=1e-12, atol=0.0)
 
 
 class TestMleProcess:

@@ -22,8 +22,9 @@ directory, writes both trees' outputs, each in a fresh interpreter that
 imports that tree's ``entconv`` and ``perfbench``, and prints every line of
 a file whose hash differs: its file, its key (the name before `` = ``, else
 its line number), and the largest absolute and relative change of its
-numbers, or ``text`` when a word differs. It exits 1 when an entry moved,
-and 2 when git cannot archive COMMIT.
+numbers, or ``text`` when a word differs, then one line naming the largest
+relative change among the numeric entries, with its file and key. It exits 1
+when an entry moved, and 2 when git cannot archive COMMIT.
 Only the standard library and numpy are used here.
 """
 from __future__ import annotations
@@ -48,7 +49,7 @@ BENCH_SEED = 103
 def _write_fit(path: Path, fits: dict) -> None:
     lines = []
     for name, fit in fits.items():
-        lines += [f"{name}_log_likelihood = {fit.log_likelihood!r}",
+        lines += [f"{name}_log_likelihood = {float(fit.log_likelihood)!r}",
                   f"{name}_iterations = {fit.iterations}",
                   f"{name}_converged = {fit.converged}"]
         lines += [f"{name}_estimate_{i} = " + " ".join(f"{z.real!r} {z.imag!r}" for z in row)
@@ -135,14 +136,15 @@ def _numbers(value: str):
     return out
 
 
-def moved_lines(old: str, new: str) -> list[tuple[str, str]]:
-    """(key, change) of every line of ``new`` that differs from ``old``'s line
-    in the same place; the change is the largest absolute and relative
-    change of the line's numbers, or ``text`` when a word or the number of
-    words differs. Texts with different line counts are one entry."""
+def moved_lines(old: str, new: str) -> list[tuple[str, str, float | None]]:
+    """(key, change, rel) of every line of ``new`` that differs from ``old``'s
+    line in the same place; the change is the largest absolute and relative
+    change ``rel`` of the line's numbers, or ``text`` (``rel`` None) when a
+    word or the number of words differs. Texts with different line counts
+    are one entry."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
-        return [("(file)", f"text: {len(old_lines)} -> {len(new_lines)} lines")]
+        return [("(file)", f"text: {len(old_lines)} -> {len(new_lines)} lines", None)]
     out = []
     for n, (a, b) in enumerate(zip(old_lines, new_lines), 1):
         if a == b:
@@ -153,26 +155,38 @@ def moved_lines(old: str, new: str) -> list[tuple[str, str]]:
         same_key = (b.split(" = ", 1)[0] if " = " in b else f"line {n}") == key
         if same_key and len(words_a) == len(words_b) and changed and \
                 all(isinstance(v, float) and math.isfinite(v) for pair in changed for v in pair):
-            out.append((key, f"abs {max(abs(y - x) for x, y in changed):.3g} rel "
-                             f"{max(abs(y - x) / max(abs(x), abs(y)) for x, y in changed):.3g}"))
+            rel = max(abs(y - x) / max(abs(x), abs(y)) for x, y in changed)
+            out.append((key, f"abs {max(abs(y - x) for x, y in changed):.3g} rel {rel:.3g}", rel))
         else:
-            out.append((key, f"text: {a!r} -> {b!r}"))
+            out.append((key, f"text: {a!r} -> {b!r}", None))
     return out
 
 
-def compare(old_tree: Path, new_tree: Path, quick: bool) -> tuple[list[str], dict[str, str]]:
-    """One line per entry of ``new_tree``'s outputs that moved from ``old_tree``'s,
-    and ``new_tree``'s manifest."""
+def compare(old_tree: Path, new_tree: Path,
+            quick: bool) -> tuple[list[tuple[str, str, str, float | None]], dict[str, str]]:
+    """(file, key, change, rel) of every entry of ``new_tree``'s outputs that
+    moved from ``old_tree``'s, as in ``moved_lines``, and ``new_tree``'s manifest."""
     with tempfile.TemporaryDirectory() as work:
         old_dir, new_dir = Path(work) / "old", Path(work) / "new"
         old, new = run_tree(old_tree, old_dir, quick), run_tree(new_tree, new_dir, quick)
-        out = [f"{path}  only in {'new' if path in new else 'old'}"
+        out = [(path, "(file)", f"only in {'new' if path in new else 'old'}", None)
                for path in sorted(old.keys() ^ new.keys())]
         for path in sorted(old.keys() & new.keys()):
             if old[path] != new[path]:
-                out += [f"{path}  {key}  {change}" for key, change in moved_lines(
+                out += [(path, *entry) for entry in moved_lines(
                     (old_dir / path).read_text(), (new_dir / path).read_text())]
     return out, new
+
+
+def listing(moved: list[tuple[str, str, str, float | None]]) -> list[str]:
+    """The lines ``compare`` prints: one per moved entry, then the largest
+    relative change among the numeric entries, with its file and key."""
+    lines = [f"{path}  {key}  {change}" for path, key, change, _ in moved]
+    numeric = [(rel, path, key) for path, key, _, rel in moved if rel is not None]
+    if numeric:
+        rel, path, key = max(numeric)
+        lines.append(f"largest relative change: {rel:.3g} in {path}  {key}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -215,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(old_tree)], input=archive.stdout, check=True)
         moved, entries = compare(old_tree, ROOT, args.quick)
-    print("\n".join(moved) if moved else "no moved entry")
+    print("\n".join(listing(moved)) if moved else "no moved entry")
     print(f"{len(moved)} moved entries in {len(entries)} files, against {args.commit}",
           file=sys.stderr)
     return 1 if moved else 0
