@@ -7,11 +7,10 @@ are stored as strings so both kinds serialize uniformly.
 Random streams: record i of a sampled table draws from the SeedSequence
 stream keyed (seed, i, 0), resample s from the one keyed (seed, s), so runs
 are reproducible and settings can be sampled in any order or in parallel;
-the PCG64 states of all keys of a call are computed in one vectorised pass.
-``stage_seed`` derives each simulated table's seed from the run seed; the
-seeds of a report's resamples are the pipeline's. ``table_order`` matches a
-table's records to the settings an analysis expects, and raises every
-layout fault of a count table.
+the PCG64 states of all keys of a call are computed in one vectorised pass;
+which seed a table or its resamples take is the pipeline's. ``table_order``
+matches a table's records to the settings an analysis expects, and raises
+every layout fault of a count table.
 """
 from __future__ import annotations
 
@@ -115,15 +114,6 @@ def poisson_resamples(means, n_samples: int, seed: int) -> np.ndarray:
     means = np.asarray(means, dtype=float)
     return np.array([rng.poisson(means)
                      for rng in _streams(seed, [(s,) for s in range(n_samples)])], dtype=float)
-
-
-def stage_seed(seed: int, stage: str) -> int:
-    """Derive a per-stage root seed from the run seed and a stage name."""
-    stages = ("state_input", "state_output", "process", "chsh", "monte_carlo")
-    if stage not in stages:
-        raise ValueError(f"unknown stage {stage!r}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(1000 + stages.index(stage),))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 #: Analyzer angles closer than this, in degrees modulo 180, are one setting.

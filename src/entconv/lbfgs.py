@@ -9,7 +9,8 @@ stopping rules. Rows never interact, to the bit: each evaluation round calls
 the objective once on the rows still searching, a lone row as a pair (BLAS
 rounds a one-row product differently). The rows still iterating form one block,
 compacted when a row stops, whose memories are a ring with one head for all
-rows: the i-th newest pair is in slot (head + i) % maxcor.
+rows: the i-th newest pair is in slot (head + i) % maxcor. A line search keeps
+the rows still searching in a block of their own, compacted alike.
 """
 from __future__ import annotations
 
@@ -97,54 +98,54 @@ def _line_search(fun, rows, x, f, g, d, stp):
     |g0'd|, or where rounding or the bracket width prevents progress (the
     trial point is then taken as it is). Returns which rows stopped within
     ``_MAX_EVALS`` evaluations and their new points, the start where a row
-    failed; a row where d is not a descent direction fails at once.
+    failed; a row where d is not a descent direction fails at once. The rows
+    still searching form one block, compacted when a row stops.
     """
-    n = len(rows)
+    found = np.zeros(len(rows), dtype=bool)
+    x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
     ginit = _dot(g, d)
-    gtest = _FTOL * ginit
-    stx, fx, gx = np.zeros(n), f.copy(), ginit.copy()
-    sty, fy, gy = np.zeros(n), f.copy(), ginit.copy()
-    stp, stmin, stmax = stp.copy(), np.zeros(n), 5.0 * stp
+    i = np.flatnonzero(ginit < 0.0)  # the rows of the block in the batch
+    rows, x, f, d, ginit, stp = rows[i], x[i], f[i], d[i], ginit[i], stp[i]
+    n, gtest = len(i), _FTOL * ginit
+    stx, fx, gx, sty, fy, gy = np.zeros(n), f, ginit, np.zeros(n), f, ginit
+    stmin, stmax = np.zeros(n), 5.0 * stp
     width, width1 = np.full(n, _STPMAX), np.full(n, 2.0 * _STPMAX)
     brackt, stage1 = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-    found = np.zeros(n, dtype=bool)
-    x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
-    i = np.flatnonzero(ginit < 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_MAX_EVALS if i.size else 0):
-            xt = x[i] + stp[i, None] * d[i]
-            ft, gt = fun(xt, rows[i])
-            dt = _dot(gt, d[i])
-            ftest = f[i] + stp[i] * gtest[i]
-            stage1[i] &= ~((ft <= ftest) & (dt >= 0.0))
-            stop = ((ft <= ftest) & (np.abs(dt) <= -_GTOL * ginit[i])
-                    | brackt[i] & ((stp[i] <= stmin[i]) | (stp[i] >= stmax[i])
-                                   | (stmax[i] - stmin[i] <= _XTOL * stmax[i]))
-                    | (stp[i] == _STPMAX) & (ft <= ftest) & (dt <= gtest[i]))
-            done = i[stop]
-            x_new[done], f_new[done], g_new[done] = xt[stop], ft[stop], gt[stop]
-            found[done] = True
-            i, ft, dt, ftest = i[~stop], ft[~stop], dt[~stop], ftest[~stop]
-            if not i.size:
-                break
+        for _ in range(_MAX_EVALS if n else 0):
+            xt = x + stp[:, None] * d
+            ft, gt = fun(xt, rows)
+            dt = _dot(gt, d)
+            ftest = f + stp * gtest
+            stage1 = stage1 & ~((ft <= ftest) & (dt >= 0.0))
+            stop = ((ft <= ftest) & (np.abs(dt) <= -_GTOL * ginit)
+                    | brackt & ((stp <= stmin) | (stp >= stmax) | (stmax - stmin <= _XTOL * stmax))
+                    | (stp == _STPMAX) & (ft <= ftest) & (dt <= gtest))
+            if stop.any():  # write the rows back and drop them from the block
+                done = i[stop]
+                x_new[done], f_new[done], g_new[done] = xt[stop], ft[stop], gt[stop]
+                found[done] = True
+                if stop.all():
+                    break
+                (i, rows, x, f, d, ginit, gtest, stx, fx, gx, sty, fy, gy, stp, stmin, stmax,
+                 width, width1, brackt, stage1, ft, dt, ftest) = (a[~stop] for a in (
+                    i, rows, x, f, d, ginit, gtest, stx, fx, gx, sty, fy, gy, stp, stmin, stmax,
+                    width, width1, brackt, stage1, ft, dt, ftest))
             # stage 1 steers by f - ftol stp g0'd while f fell but not enough
-            m = np.where(stage1[i] & (ft <= fx[i]) & (ft > ftest), gtest[i], 0.0)
-            stx[i], fx[i], gx[i], sty[i], fy[i], gy[i], step, brackt[i] = _dcstep(
-                stx[i], fx[i] - stx[i] * m, gx[i] - m, sty[i], fy[i] - sty[i] * m, gy[i] - m,
-                stp[i], ft - stp[i] * m, dt - m, brackt[i], stmin[i], stmax[i])
-            fx[i], fy[i] = fx[i] + stx[i] * m, fy[i] + sty[i] * m
-            gx[i], gy[i] = gx[i] + m, gy[i] + m
-            b = brackt[i]
-            span = np.abs(sty[i] - stx[i])
-            step = np.where(b & (span >= 0.66 * width1[i]), stx[i] + 0.5 * (sty[i] - stx[i]), step)
-            width1[i] = np.where(b, width[i], width1[i])
-            width[i] = np.where(b, span, width[i])
-            stmin[i] = np.where(b, np.minimum(stx[i], sty[i]), step + 1.1 * (step - stx[i]))
-            stmax[i] = np.where(b, np.maximum(stx[i], sty[i]), step + 4.0 * (step - stx[i]))
+            m = np.where(stage1 & (ft <= fx) & (ft > ftest), gtest, 0.0)
+            stx, fx, gx, sty, fy, gy, step, brackt = _dcstep(
+                stx, fx - stx * m, gx - m, sty, fy - sty * m, gy - m,
+                stp, ft - stp * m, dt - m, brackt, stmin, stmax)
+            fx, fy, gx, gy = fx + stx * m, fy + sty * m, gx + m, gy + m
+            span = np.abs(sty - stx)
+            step = np.where(brackt & (span >= 0.66 * width1), stx + 0.5 * (sty - stx), step)
+            width1 = np.where(brackt, width, width1)
+            width = np.where(brackt, span, width)
+            stmin = np.where(brackt, np.minimum(stx, sty), step + 1.1 * (step - stx))
+            stmax = np.where(brackt, np.maximum(stx, sty), step + 4.0 * (step - stx))
             step = np.clip(step, 0.0, _STPMAX)
-            stuck = b & ((step <= stmin[i]) | (step >= stmax[i])
-                         | (stmax[i] - stmin[i] <= _XTOL * stmax[i]))
-            stp[i] = np.where(stuck, stx[i], step)
+            stuck = brackt & ((step <= stmin) | (step >= stmax) | (stmax - stmin <= _XTOL * stmax))
+            stp = np.where(stuck, stx, step)
     return found, x_new, f_new, g_new
 
 
@@ -180,17 +181,15 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
     s_mem, y_mem = np.zeros((2, maxcor, len(idx), n_par))
     rho_mem, head = np.zeros((maxcor, len(idx))), 0
 
-    def search(k):
-        d = -_two_loop(bg[k], s_mem[:, k], y_mem[:, k], rho_mem[:, k], head)
-        stp = np.where(bnit[k] == 0, 1.0 / np.linalg.norm(d, axis=1), 1.0)
-        return _line_search(evaluate, idx[k], bx[k], bf[k], bg[k], d, stp)
-
     while idx.size:
-        found, x_new, f_new, g_new = search(slice(None))
+        d = -_two_loop(bg, s_mem, y_mem, rho_mem, head)
+        stp = np.where(bnit == 0, 1.0 / np.linalg.norm(d, axis=1), 1.0)
+        found, x_new, f_new, g_new = _line_search(evaluate, idx, bx, bf, bg, d, stp)
         retry = np.flatnonzero(~found & (rho_mem[head] > 0.0))
-        if retry.size:
+        if retry.size:  # along -g from stp = 1, as a row with a stored pair has iterated
             s_mem[:, retry], y_mem[:, retry], rho_mem[:, retry] = 0.0, 0.0, 0.0
-            found[retry], x_new[retry], f_new[retry], g_new[retry] = search(retry)
+            found[retry], x_new[retry], f_new[retry], g_new[retry] = _line_search(
+                evaluate, idx[retry], bx[retry], bf[retry], bg[retry], -bg[retry], stp[retry])
         s, y = x_new - bx, g_new - bg  # zero where the search failed
         sy = _dot(s, y)
         keep = sy > np.finfo(float).eps * -_dot(bg, s)

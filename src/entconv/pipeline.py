@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .conversion import convert, convert_qubit, efficiency_budget, focusing_factor, source_state
 from .counts import (CountRecord, expected_counts, expected_process_counts,
                      poisson_resamples, read_counts_csv, simulate_counts,
-                     simulate_process_counts, stage_seed, write_counts_csv)
+                     simulate_process_counts, write_counts_csv)
 from .reference import REFERENCE_VALUES
 from .reports import emit_keyvalues, emit_report
 from .states import werner_state
@@ -32,6 +32,15 @@ COUNT_FILES = {
     "process": "counts_process.csv",
     "chsh": "counts_chsh.csv",
 }
+
+
+def stage_seed(seed: int, stage: str) -> int:
+    """Derive a per-stage root seed from the run seed and a stage name."""
+    stages = ("state_input", "state_output", "process", "chsh", "monte_carlo")
+    if stage not in stages:
+        raise ValueError(f"unknown stage {stage!r}")
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(1000 + stages.index(stage),))
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def resample_seed(seed: int, report: str) -> int:

@@ -13,8 +13,8 @@ from entconv.conversion import (BudgetInputs, ConversionParams, convert, convert
                                 efficiency_budget, focusing_factor,
                                 p_max_from_efficiency, sfg_efficiency, source_state)
 from entconv.counts import (expected_counts, expected_process_counts, poisson_resamples,
-                            simulate_counts, simulate_process_counts, stage_seed)
-from entconv.pipeline import run_report, run_simulate
+                            simulate_counts, simulate_process_counts)
+from entconv.pipeline import run_report, run_simulate, stage_seed
 from entconv.states import (bell_state, fidelity, ket2dm, purity, tangle,
                             trace_distance, werner_state)
 from entconv.tomography import (_STATE_LBFGS, METRICS, TomographyOptions, _batch_table,

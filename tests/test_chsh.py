@@ -152,9 +152,9 @@ class TestCorrelationFromCounts:
             records = chsh_table(groups)
             result = chsh_s(REFERENCE_ANGLES, [records[i] for i in rng.permutation(16)])
             refs = [reference_correlation(g.tolist()) for g in groups]
-            assert result.correlations == pytest.approx([e for e, _ in refs], rel=1e-12)
+            assert result.correlations == pytest.approx([e for e, _ in refs], rel=1e-12, abs=0)
             assert result.s_sigma == pytest.approx(
-                np.sqrt(sum(sig ** 2 for _, sig in refs)), rel=1e-12)
+                np.sqrt(sum(sig ** 2 for _, sig in refs)), rel=1e-12, abs=0)
 
     def test_zero_total_rejected(self):
         groups = [[100, 0, 0, 100], [0, 0, 0, 0], [100, 0, 0, 100], [100, 0, 0, 100]]

@@ -363,7 +363,7 @@ class TestDetectionModel:
     def test_accidental_rate(self):
         det = DetectionModel(singles_rate_a=1000.0, singles_rate_b=2000.0,
                              coinc_window=3e-9)
-        assert det.accidental_rate == pytest.approx(6e-3, rel=1e-12)
+        assert det.accidental_rate == pytest.approx(6e-3, rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,9 +15,9 @@ from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, c
 from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, _poisson_rows,
                             _streams, expected_counts, expected_process_counts,
                             poisson_resamples, read_counts_csv, setting_projector,
-                            simulate_counts, simulate_process_counts, stage_seed,
-                            table_order, write_counts_csv)
-from entconv.pipeline import resample_seed
+                            simulate_counts, simulate_process_counts, table_order,
+                            write_counts_csv)
+from entconv.pipeline import resample_seed, stage_seed
 from entconv.states import PROJECTOR_LABELS, bell_state, ket2dm, projector, werner_state
 from entconv.tomography import linear_inversion_state, tomography_settings
 
@@ -63,7 +63,7 @@ class TestExpectedCounts:
         det = DetectionModel(det_eff_810=0.5, det_eff_532=0.4, conversion_eff=0.1)
         (rec,) = expected_counts(PHI_P, [("H", "H")], SRC, det, 1.0)
         assert rec.accidental_estimate == 0.0
-        assert rec.coincidences == pytest.approx(15.0 * 0.5 * 0.4 * 0.1 * 0.5, rel=1e-12)
+        assert rec.coincidences == pytest.approx(15.0 * 0.5 * 0.4 * 0.1 * 0.5, rel=1e-12, abs=0)
 
     def test_empty_settings_rejected(self):
         with pytest.raises(ValueError):

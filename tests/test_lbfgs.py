@@ -1,7 +1,8 @@
 """lbfgs.minimize_rows on the rare paths of scipy's L-BFGS-B: a line search
 that fails, where the row drops its L-BFGS memory and retries once along -g,
 and a step whose memory update is skipped, where the row keeps its pairs in
-order while the others update."""
+order while the others update; and lbfgs._line_search on a batch whose rows
+stop on different rounds, each as if searched alone."""
 import numpy as np
 from scipy import optimize
 
@@ -125,3 +126,50 @@ def test_skipped_update_keeps_the_memory_order_and_ends_where_scipy_does(monkeyp
         assert converged[b] == res.success and nit[b] == res.nit
         np.testing.assert_allclose(x[b], res.x, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(history[:nit[b] + 1, b], scipy_history, rtol=1e-9)
+
+
+#: separable quartics sum_j A_j u_j^2 + Q_j u_j^4, u = x - C, one per row: elementwise,
+#: so a row's values do not depend on the rows evaluated with it
+QA = np.array([[1.0, 2.0], [1.0, 1.0], [0.5, 3.0], [2.0, 0.7], [1.0, 1.5]])
+QQ = np.array([[0.3, 0.1], [0.0, 0.0], [0.2, 1.0], [0.5, 0.05], [0.1, 0.4]])
+QC = np.array([[1.0, -1.0], [1.0, 1.0], [2.0, -0.5], [-1.0, 0.3], [1.0, 2.0]])
+
+
+def quartics(x, rows):
+    u = x - QC[rows]
+    return (np.sum(QA[rows] * u * u + QQ[rows] * u ** 4, axis=1),
+            2.0 * QA[rows] * u + 4.0 * QQ[rows] * u ** 3)
+
+
+def test_line_search_rows_stop_on_their_own_rounds_as_if_searched_alone():
+    rows = np.arange(5)
+    x = np.zeros((5, 2))
+    f, g = quartics(x, rows)
+    # row 0 goes uphill; row 1 steps onto its minimum (a quadratic); rows 2 and 3
+    # start short and long; row 4 starts too short to get anywhere in _MAX_EVALS
+    d = -g
+    d[0], d[1] = g[0], QC[1]
+    stp = np.array([1.0, 1.0, 1e-3, 50.0, 1e-20])
+    evaluated = []
+
+    def recording(x, rows):
+        evaluated.extend(rows.tolist())
+        return quartics(x, rows)
+
+    found, x_new, f_new, g_new = lbfgs._line_search(recording, rows, x, f, g, d, stp)
+    assert [evaluated.count(b) for b in rows] == [0, 1, 3, 4, lbfgs._MAX_EVALS]
+    assert found.tolist() == [False, True, True, True, False]
+    for b in rows:
+        one = lbfgs._line_search(quartics, rows[b:b + 1], x[b:b + 1], f[b:b + 1], g[b:b + 1],
+                                 d[b:b + 1], stp[b:b + 1])
+        for batched, alone in zip((found, x_new, f_new, g_new), one):
+            assert np.array_equal(batched[b:b + 1], alone)
+    for b in (0, 4):  # a failed row comes back at its start
+        assert np.array_equal(x_new[b], x[b]) and f_new[b] == f[b]
+        assert np.array_equal(g_new[b], g[b])
+
+    evaluated.clear()
+    uphill = lbfgs._line_search(recording, rows, x, f, g, g, stp)
+    assert not evaluated and not uphill[0].any()
+    for out, start in zip(uphill[1:], (x, f, g)):
+        assert np.array_equal(out, start)
