@@ -7,10 +7,13 @@ once: the same direction (L-BFGS with H0 = (s'y / y'y) I), first step
 parameters below), restart on a failed search, memory-update skip rule and
 stopping rules. Rows never interact, to the bit: each evaluation round calls
 the objective once on the rows still searching, a lone row as a pair (BLAS
-rounds a one-row product differently). The rows still iterating form one block,
-compacted when a row stops, whose memories are a ring with one head for all
-rows: the i-th newest pair is in slot (head + i) % maxcor. A line search keeps
-the rows still searching in a block of their own, compacted alike.
+rounds a one-row product differently), and its gradients are read in C order
+(numpy rounds a reduction such as ``_dot``'s ``einsum`` differently for C- and
+F-ordered operands, so the fit depends on the objective's values only). The
+rows still iterating form one block, compacted when a row stops, whose
+memories are a ring with one head for all rows: the i-th newest pair is in
+slot (head + i) % maxcor. A line search keeps the rows still searching in a
+block of their own, compacted alike.
 """
 from __future__ import annotations
 
@@ -163,11 +166,12 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
     iteration, shape (iterations + 1, B), where stopped and unfitted rows
     repeat their last value, and each row's own iteration count.
     """
-    def evaluate(x, idx):
-        if len(idx) == 1:  # see the module docstring
+    def evaluate(x, idx):  # see the module docstring
+        if len(idx) == 1:
             f, g = fun(np.repeat(x, 2, axis=0), np.repeat(idx, 2))
-            return f[:1], g[:1]
-        return fun(x, idx)
+            return f[:1], np.ascontiguousarray(g[:1])
+        f, g = fun(x, idx)
+        return f, np.ascontiguousarray(g)
 
     x = x0.copy()
     n_rows, n_par = x.shape

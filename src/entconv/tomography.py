@@ -43,7 +43,11 @@ class ReconstructionError(RuntimeError):
     """Raised when a reconstruction cannot be carried out on the given data."""
 
 
-_TRIU_R, _TRIU_C = np.triu_indices(4, 1)
+#: T's 16 real parameters are its 4 diagonal reals, then the real and the
+#: imaginary parts of its strict upper triangle, row-major; _T_FLOATS holds
+#: where each sits among the 32 floats (re, im) of T's 16 row-major entries.
+_TRIU = np.ravel_multi_index(np.triu_indices(4, 1), (4, 4))
+_T_FLOATS = np.r_[0, 10, 20, 30, 2 * _TRIU, 2 * _TRIU + 1]
 
 #: Probabilities below _P_FLOOR are clipped in both likelihoods; eigenvalues of
 #: the process retraction's G below _G_FLOOR are raised to it.
@@ -92,20 +96,6 @@ _HERM_BASIS = _kron_grid(np.array(PAULIS), np.array(PAULIS)).reshape(16, 4, 4) /
 
 #: Tr[(P_a x P_b) B_k] for each canonical setting and basis element (rank 16).
 _DESIGN = np.real(np.einsum("sij,kji->sk", _STATE_PROJS, _HERM_BASIS))
-
-
-def _param_map() -> np.ndarray:
-    """Row k is the row-major upper-triangular T that parameter k alone builds."""
-    m = np.zeros((16, 16), dtype=complex)
-    triu = 4 * _TRIU_R + _TRIU_C
-    m[range(4), (0, 5, 10, 15)] = 1.0
-    m[range(4, 10), triu] = 1.0
-    m[range(10, 16), triu] = 1j
-    return m
-
-
-_T_OF_PARAMS = _param_map()
-_PARAMS_OF_T = _T_OF_PARAMS.conj().T
 
 
 def subtract_accidentals(records: list[CountRecord]) -> list[CountRecord]:
@@ -192,16 +182,19 @@ def _dag(a: np.ndarray) -> np.ndarray:
 
 def _params_to_t(t: np.ndarray) -> np.ndarray:
     """Upper-triangular T of each row of parameters (last axis 16)."""
-    return (t @ _T_OF_PARAMS).reshape(t.shape[:-1] + (4, 4))
+    T = np.zeros(t.shape[:-1] + (16,), dtype=complex)
+    T.view(float)[..., _T_FLOATS] = t
+    return T.reshape(t.shape[:-1] + (4, 4))
 
 
 def _t_to_params(T: np.ndarray) -> np.ndarray:
-    """Inverse of ``_params_to_t``.
+    """Inverse of ``_params_to_t``, for a complex or a real T.
 
     Applied to the Wirtinger derivative dll/dT^* of a real function ll, it
     gives half the gradient of ll over the 16 parameters.
     """
-    return np.real(T.reshape(T.shape[:-2] + (16,)) @ _PARAMS_OF_T)
+    flat = np.asarray(T, dtype=complex).reshape(T.shape[:-2] + (16,))
+    return flat.view(float)[..., _T_FLOATS]
 
 
 def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):

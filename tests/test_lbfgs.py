@@ -1,12 +1,19 @@
 """lbfgs.minimize_rows on the rare paths of scipy's L-BFGS-B: a line search
 that fails, where the row drops its L-BFGS memory and retries once along -g,
 and a step whose memory update is skipped, where the row keeps its pairs in
-order while the others update; and lbfgs._line_search on a batch whose rows
-stop on different rounds, each as if searched alone."""
+order while the others update; lbfgs._line_search on a batch whose rows
+stop on different rounds, each as if searched alone; and a batch of state
+fits that does not depend on the memory order of its gradients."""
 import numpy as np
 from scipy import optimize
 
 from entconv import lbfgs
+from entconv.config import default_config
+from entconv.conversion import convert, source_state
+from entconv.counts import poisson_resamples, simulate_counts
+from entconv.pipeline import stage_seed
+from entconv.tomography import (_STATE_LBFGS, TomographyOptions, _batch_table, _inversion,
+                                _params_of_rho, _state_problem, tomography_settings)
 
 #: f(x) = sum_i W_i |x_i - 1| + 0.05 |x|^2 has kinks at x_i = 1, where no
 #: step meets the strong Wolfe curvature test, so a search near the minimum
@@ -173,3 +180,31 @@ def test_line_search_rows_stop_on_their_own_rounds_as_if_searched_alone():
     assert not evaluated and not uphill[0].any()
     for out, start in zip(uphill[1:], (x, f, g)):
         assert np.array_equal(out, start)
+
+
+def test_batched_fit_does_not_depend_on_gradient_memory_order():
+    """numpy rounds a reduction (the einsum of ``lbfgs._dot``) differently for
+    C- and F-ordered operands; on these resamples of the default output table,
+    whose line searches do not all accept step 1, a fit that took the
+    gradient's layout as it came moved rows by rounding."""
+    config = default_config()
+    rho, _ = convert(source_state(config.source), config.conversion)
+    records = simulate_counts(rho, tomography_settings(), config.source,
+                              config.detection["output"], config.acquisition.output_duration,
+                              stage_seed(config.seed, "state_output"))
+    durations, raw = _batch_table(records, poisson_resamples(
+        [r.coincidences for r in records], 10, seed=5))
+    objective = _state_problem(durations, raw)[0]
+    t0 = _params_of_rho(_inversion(raw / durations)[0])
+    gtol, maxcor = _STATE_LBFGS
+    options = TomographyOptions()
+
+    def fit(order):
+        def fun(x, idx):
+            f, g = objective.rows(x, idx)
+            return f, order(g)
+        return lbfgs.minimize_rows(fun, t0, np.ones(len(t0), dtype=bool), objective.pgtol(gtol),
+                                   options.rel_tol, options.max_iters, maxcor)
+
+    for c_order, f_order in zip(fit(np.ascontiguousarray), fit(np.asfortranarray)):
+        assert np.array_equal(c_order, f_order)

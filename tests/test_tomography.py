@@ -9,7 +9,7 @@ from entconv.counts import (CountDataError, CountRecord, expected_counts,
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
                             ket2dm, projector, purity, trace_distance, werner_state)
 from entconv.tomography import (_DESIGN, METRICS, ReconstructionError, _chi_of_choi,
-                                _retraction,
+                                _params_to_t, _retraction, _t_to_params,
                                 _choi_of_chi, chi_to_transfer, TomographyOptions, channel_chi,
                                 check_chi_matrix, identity_chi, linear_inversion_state,
                                 mle_process, mle_state, mle_tables, monte_carlo_errors,
@@ -300,6 +300,40 @@ SINGULAR = np.array([[[1, 1], [1, 1]], [[4, 2j], [-2j, 1]], [[1, 0], [0, 0]], np
 #: unit-trace 2x2 matrices with few-bit entries, so that Tr_out kron(A, G) is G exactly
 DYADIC = np.array([[[0.5, 0.25 + 0.25j], [0.25 - 0.25j, 0.5]],
                    [[0.75, 0.125j], [-0.125j, 0.25]], [[1.0, 0.0], [0.0, 0.0]]])
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: values and zero signs alike, in any layout."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCholeskyParameters:
+    """The index fill of T and its read against the constant 16x16 matrix maps
+    T = t M and t = Re(T M^dag) they replaced, whose row k of M is the
+    row-major T that parameter k alone builds."""
+
+    rows, cols = np.triu_indices(4, 1)
+    triu = 4 * rows + cols
+    M = np.zeros((16, 16), dtype=complex)
+    M[range(4), (0, 5, 10, 15)] = 1.0
+    M[range(4, 10), triu] = 1.0
+    M[range(10, 16), triu] = 1j
+
+    def read(self, T):
+        return np.real(T.reshape(T.shape[:-2] + (16,)) @ self.M.conj().T)
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 16), (404, 16)])
+    def test_fill_and_read_equal_the_matrix_maps(self, shape):
+        rng = np.random.default_rng(shape[0])
+        t = rng.normal(size=shape)
+        T = _params_to_t(t)
+        assert same_bits(T, (t @ self.M).reshape(shape[:-1] + (4, 4)))
+        assert same_bits(_t_to_params(T), t) and same_bits(_t_to_params(T), self.read(T))
+        # a gradient's T is full and complex; a start's is a transposed view, real
+        # for a real rho
+        full = rng.normal(size=shape[:-1] + (4, 4)) + 1j * rng.normal(size=shape[:-1] + (4, 4))
+        for other in (full, full.swapaxes(-1, -2), full.real.swapaxes(-1, -2)):
+            assert same_bits(_t_to_params(other), self.read(other))
 
 
 class TestRetraction:
