@@ -19,6 +19,7 @@ import numpy as np
 from .chsh import ChshSettings
 from .conversion import (BudgetInputs, ConversionParams, DetectionModel,
                          EfficiencyParams, SourceModel)
+from .counts import DURATIONS
 from .reports import emit_matrix, parse_matrix
 from .states import bell_state, check_density_matrix, ket2dm
 from .tomography import TomographyOptions
@@ -59,7 +60,7 @@ def tuned_source_state() -> np.ndarray:
 
 @dataclass
 class Acquisition:
-    """Per-stage integration times in seconds."""
+    """Per-stage integration times in seconds, in the count records' range."""
 
     input_duration: float = 1.0
     output_duration: float = 100.0
@@ -68,8 +69,8 @@ class Acquisition:
 
     def __post_init__(self):
         for f in fields(self):
-            if not 0.0 < getattr(self, f.name) < np.inf:
-                raise ValueError(f"{f.name} must be finite and > 0")
+            if not DURATIONS[0] <= getattr(self, f.name) <= DURATIONS[1]:
+                raise ValueError(f"{f.name} must be in {list(DURATIONS)} s")
 
 
 @dataclass

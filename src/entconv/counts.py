@@ -33,9 +33,14 @@ class CountDataError(ValueError):
     """Raised for a count record or count table that is not valid data."""
 
 
+#: A record's domain: counts and accidentals at most MAX_COUNT (exact as floats, below
+#: numpy's Poisson limit), durations (s) in DURATIONS, where rates cannot overflow.
+MAX_COUNT, DURATIONS = 2.0 ** 53, (1e-9, 1e9)
+
+
 @dataclass
 class CountRecord:
-    """Counts for one pair of analyzer settings.
+    """Counts for one pair of analyzer settings, within the domain above.
 
     ``accidental_estimate`` is the expected number of accidental coincidences
     over this record's duration (same units as ``coincidences``).
@@ -60,6 +65,11 @@ class CountRecord:
             raise CountDataError("counts must be >= 0")
         if self.accidental_estimate < 0.0:
             raise CountDataError("accidental_estimate must be >= 0")
+        for name, (low, high) in (("duration", DURATIONS), ("coincidences", (0.0, MAX_COUNT)),
+                                  ("accidental_estimate", (0.0, MAX_COUNT))):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise CountDataError(f"{name} must be in {[low, high]}, got {value!r}")
 
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1

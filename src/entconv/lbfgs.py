@@ -153,12 +153,12 @@ def _line_search(fun, rows, x, f, g, d, stp):
 
 
 def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-                  x0: np.ndarray, fit: np.ndarray, pgtol: np.ndarray, rel_tol: float,
+                  x0: np.ndarray, fit: np.ndarray, pgtol: float, rel_tol: float,
                   max_iters: int, maxcor: int):
     """Minimize every row b of a batch of objectives with ``fit[b]``, from x0[b].
 
     ``fun(x, idx)`` returns the values and gradients of objectives ``idx`` at
-    the rows of x. A row converges when max |g| <= pgtol[b] or its relative
+    the rows of x. A row converges when max |g| <= pgtol or its relative
     decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ``rel_tol``; it stops
     unconverged after ``max_iters`` iterations, or when a line search fails
     without L-BFGS memory to clear and retry along -g. Returns the final
@@ -181,7 +181,7 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
     converged = fit & (np.max(np.abs(g), axis=1) <= pgtol)
     history = [f.copy()]
     idx = np.flatnonzero(fit & ~converged)  # the block of rows still iterating
-    bx, bf, bg, btol, bnit = x[idx], f[idx], g[idx], pgtol[idx], nit[idx]
+    bx, bf, bg, bnit = x[idx], f[idx], g[idx], nit[idx]
     s_mem, y_mem = np.zeros((2, maxcor, len(idx), n_par))
     rho_mem, head = np.zeros((maxcor, len(idx))), 0
 
@@ -204,7 +204,7 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
         k = slice(None) if keep.all() else keep
         s_mem[head, k], y_mem[head, k], rho_mem[head, k] = s[k], y[k], 1.0 / sy[k]
         scale = np.maximum(np.maximum(np.abs(bf), np.abs(f_new)), 1.0)
-        done = found & ((np.max(np.abs(g_new), axis=1) <= btol) | (bf - f_new <= rel_tol * scale))
+        done = found & ((np.max(np.abs(g_new), axis=1) <= pgtol) | (bf - f_new <= rel_tol * scale))
         bx, bf, bg, bnit = x_new, f_new, g_new, bnit + found
         f[idx] = bf
         leave = ~found | done | (bnit >= max_iters)
@@ -212,7 +212,7 @@ def minimize_rows(fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.n
             out = idx[leave]
             x[out], nit[out] = bx[leave], bnit[leave]
             converged[out] = (done & (bnit < max_iters))[leave]
-            idx, bx, bf, bg, btol, bnit = (a[~leave] for a in (idx, bx, bf, bg, btol, bnit))
+            idx, bx, bf, bg, bnit = (a[~leave] for a in (idx, bx, bf, bg, bnit))
             s_mem, y_mem, rho_mem = s_mem[:, ~leave], y_mem[:, ~leave], rho_mem[:, ~leave]
         history.append(f.copy())
     return x, converged, np.array(history), nit

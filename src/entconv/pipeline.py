@@ -1,7 +1,8 @@
 """End-to-end orchestration: simulate, reconstruct, analyze, summarize.
 
 Every ML reconstruction runs through ``fit_stages``, which fits a stage's
-point table and resamples in one batch (a report's four state stages share it).
+observed table and its resamples as one table, in one batch (a report's four
+state stages share it).
 
 All artifacts are flat text (CSV count tables, key=value reports with
 matrix blocks) and are byte-reproducible for a fixed configuration and seed.
@@ -103,22 +104,21 @@ def fit_stages(kind: str, stages: dict[str, tuple[list[CountRecord], bool, int]]
     """ML reconstructions with Monte-Carlo std-errors of the stages of one fit
     kind ("state" or "process"), all fitted in one ``mle_tables`` batch.
 
-    ``stages`` maps a label to (records, subtract, seed). A stage's row 0,
-    its observed table, gives the ``point_result``; rows 1..``mc_samples``,
-    Poisson resamples from ``seed``, give the ``monte_carlo_errors``; the two
-    are separate tables, so each starts where a fit of it alone would. With
-    ``subtract`` every row loses the accidental estimates, clamped at zero."""
+    ``stages`` maps a label to (records, subtract, seed). Each stage is one
+    table: row 0, its observed counts, gives the ``point_result``, and rows
+    1..``mc_samples``, Poisson resamples from ``seed``, give the
+    ``monte_carlo_errors``. With ``subtract`` every row loses the accidental
+    estimates, clamped at zero."""
     tables = []
     for records, subtract, seed in stages.values():
         observed = np.array([r.coincidences for r in records])
         accidentals = np.array([r.accidental_estimate for r in records]) if subtract else 0.0
-        tables += [(records, [observed - accidentals]),
-                   (records, poisson_resamples(observed, mc_samples, seed) - accidentals)]
-    fits = mle_tables(kind, tables, options)
+        resampled = poisson_resamples(observed, mc_samples, seed)
+        tables.append((records, np.vstack([observed, resampled]) - accidentals))
     out = {}
-    for label, point, resampled in zip(stages, fits[::2], fits[1::2]):
-        result = point_result(point, kind)
-        mc = monte_carlo_errors(resampled, METRICS[kind], label)
+    for label, fit in zip(stages, mle_tables(kind, tables, options)):
+        result = point_result(fit, kind)
+        mc = monte_carlo_errors(fit.rows(1, mc_samples + 1), METRICS[kind], label)
         result.metrics = replace(result.metrics, **{f"{name}_err": err
                                                     for name, err in mc.std_errors.items()})
         out[label] = result, mc

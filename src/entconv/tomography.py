@@ -13,12 +13,11 @@ trace preserving, then converts to the chi representation in the Pauli basis
 analytic gradients; the process gradient is pulled back through the retraction
 by the chain rule, with G^{-1/2} and its derivative in closed form (G is 2x2).
 
-Both objectives take a leading batch axis: one row per count table, rows
-independent. ``mle_tables`` fits the rows of several tables of a kind in one
-batch; ``mle_state``/``mle_process`` are its one-row case. One row is fitted
-by scipy's L-BFGS-B, several (a report's point tables and resamples) at once
-by ``lbfgs.minimize_rows``, the same iteration vectorised over rows, each the
-faster on its side; the scipy fit is the reference it is tested against.
+``mle_tables`` fits the rows of several tables of a kind in one batch, and a
+row's fit is a function of its own table alone, bit for bit, whatever tables
+share the batch. ``mle_state``/``mle_process`` are its one-row case, fitted by
+scipy's L-BFGS-B; a batch of several rows is fitted by ``lbfgs.minimize_rows``,
+the same iteration vectorised over rows, each the faster on its side.
 
 ``counts.table_order`` sorts every table into canonical setting order before
 a fit, so the projector stacks and the linear-inversion design matrix are
@@ -52,11 +51,6 @@ _T_FLOATS = np.r_[0, 10, 20, 30, 2 * _TRIU, 2 * _TRIU + 1]
 #: Probabilities below _P_FLOOR are clipped in both likelihoods; eigenvalues of
 #: the process retraction's G below _G_FLOOR are raised to it.
 _P_FLOOR, _G_FLOOR = 1e-12, 1e-14
-
-#: (gtol, L-BFGS memory) of the state and of the process fit, for the scipy
-#: point fits and the batched resample fits alike.
-_STATE_LBFGS = (1e-10, 20)
-_PROCESS_LBFGS = (1e-8, 10)
 
 
 def tomography_settings() -> list[tuple[str, str]]:
@@ -94,8 +88,9 @@ _PROCESS_W_T = _PROCESS_W.transpose(0, 2, 1).reshape(36, 16)
 _HERM_BASIS = _kron_grid(np.array(PAULIS), np.array(PAULIS)).reshape(16, 4, 4) / 2.0
 
 
-#: Tr[(P_a x P_b) B_k] for each canonical setting and basis element (rank 16).
+#: Tr[(P_a x P_b) B_k] per canonical setting and basis element (rank 16), and its pseudo-inverse.
 _DESIGN = np.real(np.einsum("sij,kji->sk", _STATE_PROJS, _HERM_BASIS))
+_DESIGN_INV = np.linalg.pinv(_DESIGN)
 
 
 def subtract_accidentals(records: list[CountRecord]) -> list[CountRecord]:
@@ -293,48 +288,42 @@ class Objective:
     def rows(self, t: np.ndarray, idx: np.ndarray | slice) -> tuple[np.ndarray, np.ndarray]:
         return self.core(t, self.counts[idx], self.norms[idx])
 
-    def pgtol(self, gtol: float) -> np.ndarray:
-        """Per-fit gradient tolerance: gtol * max(1, sum of unit counts)."""
-        return gtol * np.maximum(1.0, self.counts.sum(axis=1))
-
     def loglik(self, value):
         # sum n log mu - mu at raw scale is s * (scaled sum) + log(s) * sum n
         return -self.scale * value + np.log(self.scale) * self.raw_total
 
 
-def _unit_counts(raw: np.ndarray):
-    """Counts at unit mean per row of (B, 36) raw counts, the row means
-    ``scale``, the row totals and the rows without any count."""
+def _objective(core, raw: np.ndarray, flux: np.ndarray, durations: np.ndarray):
+    """``core``'s objective for (B, 36) raw counts of means flux * durations * p,
+    at unit mean count per row, and the rows without any count."""
     total = raw.sum(axis=1)
     empty = total == 0
-    scale = np.where(empty, 1.0, total / raw.shape[1])
-    return raw / scale[:, None], scale, total, empty
+    scale = np.where(empty, 1.0, total / raw.shape[1])[:, None]
+    return Objective(core, raw / scale, flux * durations / scale, scale[:, 0], total), empty
 
 
-def _state_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, dict[int, str]]:
+def _state_problem(durations: np.ndarray, raw: np.ndarray):
     """The objective the state fits of ``mle_tables`` minimize for (B, 36)
-    canonical raw counts, and why each row without counts cannot be fitted.
-    The flux N is the mean summed rate of the nine basis-pair groups, whose
-    four joint projectors sum to the identity."""
-    counts, scale, total, empty = _unit_counts(raw)
-    flux = np.mean(_group_sums(raw / durations), axis=1)
-    norms = flux[:, None] * durations / scale[:, None]
+    canonical raw counts, each row's start (its linear inversion) and why each
+    row without counts cannot be fitted. The flux N is the mean summed rate of
+    the nine basis-pair groups, whose four joint projectors sum to the identity."""
+    rates = raw / durations
+    objective, empty = _objective(_state_nll, raw, np.mean(_group_sums(rates), axis=1)[:, None],
+                                  durations)
     errors = {b: "all counts are zero" for b in np.flatnonzero(empty).tolist()}
-    return Objective(_state_nll, counts, norms, scale, total), errors
+    return objective, _params_of_rho(_inversion(rates)[0]), errors
 
 
-def _process_problem(durations: np.ndarray, raw: np.ndarray) -> tuple[Objective, dict[int, str]]:
-    """The objective the process fits of ``mle_tables`` minimize for (B, 36)
-    canonical raw counts, and why each row without counts, or with an input
-    state without counts, cannot be fitted."""
-    counts, scale, total, empty = _unit_counts(raw)
+def _process_problem(durations: np.ndarray, raw: np.ndarray):
+    """``_state_problem`` for process fits, which start at ``_PROCESS_START``;
+    a row with an input state without counts cannot be fitted either."""
     flux = (raw / durations).reshape(-1, 6, 6).sum(axis=2) / 3.0
-    norms = np.repeat(flux, 6, axis=1) * durations / scale[:, None]
+    objective, empty = _objective(_process_nll, raw, np.repeat(flux, 6, axis=1), durations)
     dark = flux <= 0.0
     errors = {b: "all counts are zero" if empty[b] else
               f"input state {PROJECTOR_LABELS[np.argmax(dark[b])]!r} has zero counts"
               for b in np.flatnonzero(dark.any(axis=1)).tolist()}
-    return Objective(_process_nll, counts, norms, scale, total), errors
+    return objective, np.tile(_PROCESS_START, (len(raw), 1)), errors
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ def _minimize_one(fun, x0, fit, pgtol, rel_tol, max_iters, maxcor):
 
     res = optimize.minimize(
         value_and_grad, x0[0], jac=True, method="L-BFGS-B", callback=record_step,
-        options={"maxiter": max_iters, "ftol": rel_tol, "gtol": pgtol[0], "maxcor": maxcor})
+        options={"maxiter": max_iters, "ftol": rel_tol, "gtol": pgtol, "maxcor": maxcor})
     return (res.x[None], np.array([res.success]), np.array(history)[:, None],
             np.array([len(history) - 1]))
 
@@ -372,14 +361,13 @@ def _fit_batch(objective: Objective, t0: np.ndarray, errors: dict[int, str],
                options: TomographyOptions | None, lbfgs: tuple[float, int],
                estimate: Callable[[np.ndarray], np.ndarray]) -> BatchFit:
     """Minimize every fit of ``objective`` without an entry in ``errors``; a
-    fit whose likelihood history falls fails too. One row is fitted by
-    ``_minimize_one``, several at once by ``lbfgs.minimize_rows``."""
+    fit whose likelihood history falls fails too."""
     opts = options or TomographyOptions()
-    gtol, maxcor = lbfgs
+    pgtol, maxcor = lbfgs
     failed = np.isin(np.arange(len(t0)), list(errors))
     minimize = _minimize_one if len(t0) == 1 else minimize_rows
-    x, converged, history, nit = minimize(objective.rows, t0, ~failed, objective.pgtol(gtol),
-                                          opts.rel_tol, opts.max_iters, maxcor)
+    x, converged, history, nit = minimize(objective.rows, t0, ~failed, pgtol, opts.rel_tol,
+                                          opts.max_iters, maxcor)
     loglik = objective.loglik(history)
     drops = _drops(loglik)
     for b in np.flatnonzero(drops.any(axis=0)).tolist():
@@ -406,10 +394,11 @@ def point_result(fit: BatchFit, kind: str) -> TomographyResult:
 
 def _batch_table(records: list[CountRecord], counts) -> tuple[np.ndarray, np.ndarray]:
     """Durations and (B, 36) clamped counts, both in canonical order, of the
-    count rows ``counts`` given in the order of ``records``."""
+    count rows ``counts`` given in the order of ``records``; C-ordered, as
+    numpy rounds a reduction by memory order and ``[:, order]`` gives F order."""
     order = table_order(records, _SETTINGS)
     durations = np.array([records[i].duration for i in order])
-    return durations, np.maximum(np.asarray(counts, dtype=float)[:, order], 0.0)
+    return durations, np.maximum(np.asarray(counts, dtype=float)[:, order], 0.0, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +429,8 @@ def _inversion(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     empty = group_tot <= 0.0
     first_empty = np.where(empty.any(axis=1), np.argmax(empty, axis=1), -1)
     p = rates / np.where(empty, 1.0, group_tot)
-    x = np.linalg.lstsq(_DESIGN, p.T, rcond=None)[0].T
-    rho = (x @ _HERM_BASIS.reshape(16, 16)).reshape(-1, 4, 4)
+    # einsums of C-ordered rows round a row alike in any batch; matmul rounds a lone row apart
+    rho = np.einsum("bk,kij->bij", np.einsum("ks,bs->bk", _DESIGN_INV, p), _HERM_BASIS)
     rho /= np.where(first_empty < 0, np.real(np.trace(rho, axis1=1, axis2=2)), 1.0)[:, None, None]
     rho[first_empty >= 0] = np.eye(4) / 4.0
     return rho, first_empty
@@ -575,30 +564,29 @@ def mle_process(records: list[CountRecord],
     return point_result(fit, "process")
 
 
+#: Each fit kind's problem, (pgtol, L-BFGS memory) and estimate of its parameters; pgtol
+#: is gtol (1e-10, 1e-8) per count, times the 36 unit counts of every fitted row.
+_KINDS = {"state": (_state_problem, (1e-10 * 36, 20), _rho_of_params),
+          "process": (_process_problem, (1e-8 * 36, 10), _chi_of_params)}
+
+
 def mle_tables(kind: str, tables: list[tuple[list[CountRecord], np.ndarray]],
                options: TomographyOptions | None = None) -> list[BatchFit]:
     """The ``mle_state`` (``kind`` "state") or ``mle_process`` ("process")
     fits of the rows of several (records, counts) tables, all in one batch,
-    split back per table.
+    split back per table; another ``kind`` is a ``ValueError``.
 
     ``records`` give the settings and durations, which may differ between
     tables; row b of ``counts`` (shape (B, 36), in the order of ``records``)
-    replaces their coincidences, clamped at zero. A row that cannot be
-    fitted fails alone. A row's fit does not depend on the rows around it,
-    but the least-squares inversion rounds a row differently next to other
-    right-hand sides, so each table's state starts are solved from that
-    table alone."""
+    replaces their coincidences, clamped at zero. A row that cannot be fitted
+    fails alone."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown fit kind {kind!r}, expected one of {sorted(_KINDS)}")
+    problem, lbfgs, estimate = _KINDS[kind]
     parts = [_batch_table(records, counts) for records, counts in tables]
-    durations = np.concatenate([np.broadcast_to(d, raw.shape) for d, raw in parts])
+    durations = np.concatenate([np.tile(d, (len(raw), 1)) for d, raw in parts])
     raw = np.concatenate([raw for _, raw in parts])
-    if kind == "state":
-        objective, errors = _state_problem(durations, raw)
-        t0 = np.concatenate([_params_of_rho(_inversion(r / d)[0]) for d, r in parts])
-        fit = _fit_batch(objective, t0, errors, options, _STATE_LBFGS, _rho_of_params)
-    else:
-        objective, errors = _process_problem(durations, raw)
-        fit = _fit_batch(objective, np.tile(_PROCESS_START, (len(raw), 1)), errors, options,
-                         _PROCESS_LBFGS, _chi_of_params)
+    fit = _fit_batch(*problem(durations, raw), options, lbfgs, estimate)
     ends = np.cumsum([len(r) for _, r in parts]).tolist()
     return [fit.rows(end - len(r), end) for end, (_, r) in zip(ends, parts)]
 

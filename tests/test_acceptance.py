@@ -17,8 +17,8 @@ from entconv.counts import (expected_counts, expected_process_counts, poisson_re
 from entconv.pipeline import run_report, run_simulate, stage_seed
 from entconv.states import (bell_state, fidelity, ket2dm, purity, tangle,
                             trace_distance, werner_state)
-from entconv.tomography import (_STATE_LBFGS, METRICS, TomographyOptions, _batch_table,
-                                _fit_batch, _params_of_rho, _rho_of_params, _state_problem,
+from entconv.tomography import (_KINDS, METRICS, TomographyOptions, _batch_table,
+                                _fit_batch, _params_of_rho,
                                 linear_inversion_state, mle_process, mle_state,
                                 mle_tables, monte_carlo_errors,
                                 subtract_accidentals, tomography_settings)
@@ -32,9 +32,10 @@ def cold_start_estimate(records, options):
     """``mle_state``'s fit of ``records`` started from I/4 instead of the
     linear inversion, through the same fit core."""
     durations, raw = _batch_table(records, [[r.coincidences for r in records]])
-    objective, errors = _state_problem(durations, raw)
+    problem, lbfgs, estimate = _KINDS["state"]
+    objective, _, errors = problem(durations, raw)
     t0 = _params_of_rho(np.eye(4, dtype=complex)[None] / 4.0)
-    return _fit_batch(objective, t0, errors, options, _STATE_LBFGS, _rho_of_params).estimates[0]
+    return _fit_batch(objective, t0, errors, options, lbfgs, estimate).estimates[0]
 
 
 def report_line(num, name, ok, detail):

@@ -8,7 +8,7 @@ import pytest
 from entconv import pipeline
 from entconv.cli import main
 from entconv.config import default_config, save_config
-from entconv.counts import read_counts_csv, write_counts_csv
+from entconv.counts import CSV_HEADER, read_counts_csv, write_counts_csv
 from entconv.pipeline import COUNT_FILES, run_simulate
 from entconv.reports import parse_report
 
@@ -138,6 +138,31 @@ def test_invalid_count_data_exits_5(tmp_path, config_path, capsys):
     code = main(["--config", str(config_path), "--out", str(out), "reconstruct-state"])
     assert code == 5
     assert "coincidences must be finite" in capsys.readouterr().err
+
+
+#: a count-table field set outside the records' domain: (table, CSV field, value);
+#: each once failed deep in a fit or a resampler, with exit 2 or 3
+OUT_OF_DOMAIN = [(table, "coincidences", value) for table in ("state_output", "process", "chsh")
+                 for value in ("1e308", "1" * 30)] + [
+    ("state_output", "duration_s", "1e-320"), ("state_output", "duration_s", "1e308"),
+    ("process", "duration_s", "1e-320")]
+READERS = {"state_output": "reconstruct-state", "process": "reconstruct-process",
+           "chsh": "chsh"}
+
+
+@pytest.mark.parametrize("table, field, value", OUT_OF_DOMAIN)
+def test_count_outside_the_domain_exits_5(tmp_path, config_path, capsys, table, field, value):
+    out = tmp_path / "out"
+    main(["--config", str(config_path), "--out", str(out), "simulate"])
+    path = out / COUNT_FILES[table]
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[CSV_HEADER.index(field)] = value
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["--config", str(config_path), "--out", str(out), READERS[table]])
+    assert code == 5
+    assert f"error: {path}: line 6: {field.removesuffix('_s')} must be" in capsys.readouterr().err
 
 
 def test_non_convergence_exits_3(tmp_path):

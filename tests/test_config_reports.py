@@ -15,6 +15,7 @@ from entconv.config import (DETECTION_KEYS, FIELDS, Acquisition, ConfigError, Ex
                             tuned_source_state)
 from entconv.conversion import (BudgetInputs, ConversionParams, DetectionModel,
                                 EfficiencyParams, SourceModel)
+from entconv.counts import DURATIONS
 from entconv.reports import (emit_keyvalues, emit_matrix, emit_report,
                              parse_keyvalues, parse_matrix, parse_report)
 from entconv.states import check_density_matrix
@@ -69,6 +70,7 @@ reals = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+durations = st.floats(*DURATIONS)
 angles = st.floats(0.0, 180.0, exclude_max=True)
 channels = st.builds(ConversionParams, eta_h=st.floats(1e-3, 1.0), eta_v=unit,
                      theta=reals, dephase=unit)
@@ -86,8 +88,8 @@ configs = st.builds(
     conversion=channels,
     detection=st.fixed_dictionaries({"input": detections, "output": detections,
                                      "chsh": detections}),
-    acquisition=st.builds(Acquisition, input_duration=positive, output_duration=positive,
-                          process_duration=positive, chsh_duration=positive),
+    acquisition=st.builds(Acquisition, input_duration=durations, output_duration=durations,
+                          process_duration=durations, chsh_duration=durations),
     chsh=st.builds(ChshSettings, alpha=angles, alpha_prime=angles, beta=angles,
                    beta_prime=angles),
     chsh_source_p=unit,
@@ -362,6 +364,16 @@ RANGE_CHECKED = [(Acquisition, f.name) for f in fields(Acquisition)] + [
 def test_range_checks_reject_non_finite_values(cls, name, value):
     with pytest.raises(ValueError, match=name):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("value", [np.nextafter(DURATIONS[0], 0.0), 0.0,
+                                   np.nextafter(DURATIONS[1], np.inf)])
+@pytest.mark.parametrize("name", [f.name for f in fields(Acquisition)])
+def test_acquisition_durations_take_the_count_records_range(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be in"):
+        Acquisition(**{name: float(value)})
+    for bound in DURATIONS:
+        Acquisition(**{name: bound})
 
 
 @pytest.mark.parametrize("name", ["per_crystal_pump_factor", "focus_position_factor"])

@@ -12,8 +12,8 @@ from entconv.chsh import chsh_s, chsh_sigma_resampled
 from entconv.config import default_config
 from entconv.conversion import (ConversionParams, DetectionModel, SourceModel, convert,
                                 convert_qubit, source_state)
-from entconv.counts import (CSV_HEADER, CountDataError, CountRecord, _poisson_rows,
-                            _streams, expected_counts, expected_process_counts,
+from entconv.counts import (CSV_HEADER, DURATIONS, MAX_COUNT, CountDataError, CountRecord,
+                            _poisson_rows, _streams, expected_counts, expected_process_counts,
                             poisson_resamples, read_counts_csv, setting_projector,
                             simulate_counts, simulate_process_counts, table_order,
                             write_counts_csv)
@@ -164,6 +164,22 @@ class TestCsvRoundTrip:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CountRecord(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", np.nextafter(DURATIONS[0], 0.0)), ("duration", 1e-320),
+        ("duration", np.nextafter(DURATIONS[1], np.inf)),
+        ("coincidences", np.nextafter(MAX_COUNT, np.inf)),
+        ("accidental_estimate", np.nextafter(MAX_COUNT, np.inf))])
+    def test_values_just_outside_the_domain_rejected(self, field, value):
+        kwargs = dict(setting_a="H", setting_b="H", duration=1.0, coincidences=1.0,
+                      singles_a=1, singles_b=1, accidental_estimate=0.0)
+        kwargs[field] = float(value)
+        with pytest.raises(CountDataError, match=f"{field} must be"):
+            CountRecord(**kwargs)
+
+    def test_domain_bounds_accepted(self):
+        for duration in DURATIONS:
+            CountRecord("H", "H", duration, MAX_COUNT, 0, 0, MAX_COUNT)
 
     def test_csv_nan_row_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -473,18 +489,17 @@ class TestBatchedGeneratorMatchesPerRecordLoops:
                 (tmp_path / f"old{i}.csv").read_bytes()
 
 
-finite_nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+counts_in_domain = st.floats(min_value=0.0, max_value=MAX_COUNT)
 angle_setting = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 setting = st.one_of(st.sampled_from(PROJECTOR_LABELS), angle_setting)
 count_records = st.builds(
     CountRecord,
     setting_a=setting, setting_b=setting,
-    duration=st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
-                       allow_infinity=False),
-    coincidences=finite_nonneg,
+    duration=st.floats(*DURATIONS),
+    coincidences=counts_in_domain,
     singles_a=st.integers(min_value=0, max_value=10 ** 40),
     singles_b=st.integers(min_value=0, max_value=10 ** 40),
-    accidental_estimate=finite_nonneg)
+    accidental_estimate=counts_in_domain)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -118,8 +118,9 @@ def test_fit_evaluates_objective_once_per_optimizer_call(monkeypatch):
 
     monkeypatch.setattr(tomography.optimize, "minimize", recording_minimize)
     t0 = _params_of_rho(np.eye(4) / 4.0)[None]
-    x, converged, history, nit = _minimize_one(counting_rows, t0, np.array([True]),
-                                               objective.pgtol(1e-10), 1e-10, 5000, 20)
+    pgtol, maxcor = tomography._KINDS["state"][1]
+    x, converged, history, nit = _minimize_one(counting_rows, t0, np.array([True]), pgtol,
+                                               1e-10, 5000, maxcor)
     (res,) = results
     assert np.array_equal(x[0], res.x) and converged[0] == res.success
     assert len(calls) == res.nfev

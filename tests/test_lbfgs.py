@@ -12,8 +12,7 @@ from entconv.config import default_config
 from entconv.conversion import convert, source_state
 from entconv.counts import poisson_resamples, simulate_counts
 from entconv.pipeline import stage_seed
-from entconv.tomography import (_STATE_LBFGS, TomographyOptions, _batch_table, _inversion,
-                                _params_of_rho, _state_problem, tomography_settings)
+from entconv.tomography import _KINDS, TomographyOptions, _batch_table, tomography_settings
 
 #: f(x) = sum_i W_i |x_i - 1| + 0.05 |x|^2 has kinks at x_i = 1, where no
 #: step meets the strong Wolfe curvature test, so a search near the minimum
@@ -85,7 +84,7 @@ def test_failed_search_retries_along_minus_g_and_ends_where_scipy_does(monkeypat
 
     monkeypatch.setattr(lbfgs, "_line_search", recording)
     x, converged, history, nit = lbfgs.minimize_rows(
-        lambda x, idx: kinked(x), STARTS, np.array([True, True]), np.full(2, PGTOL),
+        lambda x, idx: kinked(x), STARTS, np.array([True, True]), PGTOL,
         REL_TOL, MAX_ITERS, MAXCOR)
 
     failed = [k for k, (rows, found, _, _) in enumerate(searches) if not all(found)]
@@ -117,7 +116,7 @@ def test_skipped_update_keeps_the_memory_order_and_ends_where_scipy_does(monkeyp
 
     monkeypatch.setattr(lbfgs, "_line_search", recording)
     x, converged, history, nit = lbfgs.minimize_rows(
-        ledge_or_rosenbrock, LEDGE_STARTS, np.array([True, True]), np.full(2, PGTOL),
+        ledge_or_rosenbrock, LEDGE_STARTS, np.array([True, True]), PGTOL,
         REL_TOL, MAX_ITERS, MAXCOR)
 
     skipped = [k for k, (_, _, skip) in enumerate(searches) if any(skip)]
@@ -194,16 +193,15 @@ def test_batched_fit_does_not_depend_on_gradient_memory_order():
                               stage_seed(config.seed, "state_output"))
     durations, raw = _batch_table(records, poisson_resamples(
         [r.coincidences for r in records], 10, seed=5))
-    objective = _state_problem(durations, raw)[0]
-    t0 = _params_of_rho(_inversion(raw / durations)[0])
-    gtol, maxcor = _STATE_LBFGS
+    problem, (pgtol, maxcor), _ = _KINDS["state"]
+    objective, t0, _ = problem(durations, raw)
     options = TomographyOptions()
 
     def fit(order):
         def fun(x, idx):
             f, g = objective.rows(x, idx)
             return f, order(g)
-        return lbfgs.minimize_rows(fun, t0, np.ones(len(t0), dtype=bool), objective.pgtol(gtol),
+        return lbfgs.minimize_rows(fun, t0, np.ones(len(t0), dtype=bool), pgtol,
                                    options.rel_tol, options.max_iters, maxcor)
 
     for c_order, f_order in zip(fit(np.ascontiguousarray), fit(np.asfortranarray)):
