@@ -19,7 +19,7 @@ import numpy as np
 from .chsh import ChshSettings
 from .conversion import (BudgetInputs, ConversionParams, DetectionModel,
                          EfficiencyParams, SourceModel)
-from .counts import DURATIONS
+from .counts import DURATIONS, MAX_COUNT
 from .reports import emit_matrix, parse_matrix
 from .states import bell_state, check_density_matrix, ket2dm
 from .tomography import TomographyOptions
@@ -46,6 +46,11 @@ CONVERSION_EFF_INTRINSIC = 4.11e-4
 # relative phase and coherence retention of the converted polarization.
 PROCESS_THETA = 0.03747652
 PROCESS_DEPHASE = 0.98529183
+
+#: The most Monte-Carlo resamples of a stage. A report's state batch has 4
+#: (mc_samples + 1) rows; its ``fit_stages`` peaked at 5.6 and 22.3 MB under
+#: ``tracemalloc`` at 100 and 400 samples, 14 kB a row, so about 0.56 GB here.
+MAX_MC_SAMPLES = 10_000
 
 
 def tuned_source_state() -> np.ndarray:
@@ -91,7 +96,9 @@ class ProcessStage:
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed for a reproducible end-to-end simulated run."""
+    """Everything needed for a reproducible end-to-end simulated run; every
+    stage's largest expected count a setting (all its pairs or photons in one
+    setting, accidentals included) is at most ``counts.MAX_COUNT``."""
 
     seed: int = 103
     noiseless: bool = False  # emit expected counts instead of Poisson samples
@@ -136,6 +143,25 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mc_samples < 2:
             raise ConfigError(f"mc_samples must be >= 2, got {self.mc_samples}")
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise ConfigError(f"mc_samples must be <= {MAX_MC_SAMPLES}, got {self.mc_samples}")
+        acq, proc = self.acquisition, self.process
+        # each stage's largest rate a setting and its rates by key; singles make accidentals
+        peaks = [("process", proc.rate + proc.accidental_rate,
+                  {"[process] rate_cps": proc.rate,
+                   "[process] accidental_rate_cps": proc.accidental_rate})]
+        for stage in stages:
+            d, key = self.detection[stage], f"[detection.{stage}] singles_rate_"
+            pairs = self.source.pair_rate * d.conversion_eff * d.det_eff_810 * d.det_eff_532
+            peaks.append((stage, max(pairs + d.accidental_rate, d.singles_rate_a, d.singles_rate_b),
+                          {"[source] pair_rate_cps": pairs,
+                           key + "a_cps": max(d.singles_rate_a, d.accidental_rate),
+                           key + "b_cps": max(d.singles_rate_b, d.accidental_rate)}))
+        for stage, rate, rates in peaks:
+            count = rate * getattr(acq, f"{stage}_duration")
+            if count > MAX_COUNT:
+                raise ConfigError(f"{max(rates, key=rates.get)}: the {stage} stage expects up to "
+                                  f"{count:.3g} counts a setting, above 2**53")
 
 
 def default_config() -> ExperimentConfig:

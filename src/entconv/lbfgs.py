@@ -8,7 +8,7 @@ parameters below), restart on a failed search, memory-update skip rule and
 stopping rules. Rows never interact, to the bit: each evaluation round calls
 the objective once on the rows still searching, a lone row as a pair (BLAS
 rounds a one-row product differently), and its gradients are read in C order
-(numpy rounds a reduction such as ``_dot``'s ``einsum`` differently for C- and
+(numpy rounds a reduction such as ``_dot``'s ``vecdot`` differently for C- and
 F-ordered operands, so the fit depends on the objective's values only). The
 rows still iterating form one block, compacted when a row stops, whose
 memories are a ring with one head for all rows: the i-th newest pair is in
@@ -25,8 +25,8 @@ import numpy as np
 _FTOL, _GTOL, _XTOL, _STPMAX, _MAX_EVALS = 1e-3, 0.9, 0.1, 1e10, 20
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("kp,kp->k", a, b)
+#: the dot product of each row of two (k, n) arrays
+_dot = np.vecdot
 
 
 def _two_loop(g, s_mem, y_mem, rho_mem, head):

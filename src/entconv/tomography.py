@@ -1,7 +1,8 @@
 """Maximum-likelihood state and process tomography with Monte-Carlo errors.
 
 State reconstruction parameterizes the density matrix as T^dag T / Tr(T^dag T)
-with an upper-triangular T (16 real parameters), so the estimate satisfies
+with an upper-triangular T of 16 real parameters t, |t|^2 = Tr(T^dag T)
+(James, Kwiat, Munro and White, PRA 64, 052312, 2001), so the estimate satisfies
 Hermiticity, positivity and unit trace by construction, and maximizes the
 Poisson log-likelihood sum_s [n_s log mu_s - mu_s] from the linear inversion.
 
@@ -73,10 +74,11 @@ def _kron_grid(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 _LABEL_PROJS = np.array([projector(l) for l in PROJECTOR_LABELS])
 
-#: P_a x P_b of each canonical state-tomography setting, and their flattened
-#: transposes, so that p_s = Tr[P_s g] is one matrix product.
+#: P_a x P_b of each canonical state-tomography setting; p_s = Tr[P_s g] and sum_s w_s P_s
+#: are real products with _PR, the (Re, -Im) rows of their transposes, and _MR, their floats.
 _STATE_PROJS = _kron_grid(_LABEL_PROJS, _LABEL_PROJS).reshape(36, 4, 4)
-_STATE_PROJS_T = _STATE_PROJS.transpose(0, 2, 1).reshape(36, 16)
+_PR = np.ascontiguousarray(_STATE_PROJS.transpose(0, 2, 1).reshape(36, 16).conj().view(float).T)
+_MR = _STATE_PROJS.reshape(36, 16).view(float)
 
 #: W_s = P_meas x rho_in^T of each canonical (input, measurement) setting, so
 #: that p_s = Tr[W_s J]; flattened transposes make that one matrix product.
@@ -209,12 +211,12 @@ def _poisson_terms(p: np.ndarray, counts: np.ndarray, norms: np.ndarray):
 def _state_nll(t, counts, norms):
     T = _params_to_t(t)
     g = _dag(T) @ T
-    tau = np.real(np.trace(g, axis1=1, axis2=2))[:, None, None]
-    p = np.real((g / tau).reshape(-1, 16) @ _STATE_PROJS_T.T)
+    tau = np.vecdot(t, t)[:, None]  # Tr g = |t|^2
+    p = (g.reshape(-1, 16).view(float) @ _PR) / tau
     nll, c, w = _poisson_terms(p, counts, norms)
-    m = (w @ _STATE_PROJS.reshape(36, 16)).reshape(-1, 4, 4)
+    m = (w @ _MR).view(complex).reshape(-1, 4, 4)
     wc = np.sum(w * c, axis=1)[:, None, None]
-    return nll, -2.0 * _t_to_params((T @ m - wc * T) / tau)
+    return nll, -2.0 * _t_to_params((T @ m - wc * T) / tau[:, :, None])
 
 
 #: the identity, and the signs that turn a flipped 2x2 transpose into its adjugate

@@ -1,4 +1,5 @@
 """CLI and pipeline tests (small Monte-Carlo sizes to stay fast)."""
+import configparser
 import re
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 
 from entconv import pipeline
 from entconv.cli import main
-from entconv.config import default_config, save_config
+from entconv.config import MAX_MC_SAMPLES, default_config, save_config
 from entconv.counts import CSV_HEADER, read_counts_csv, write_counts_csv
 from entconv.pipeline import COUNT_FILES, run_simulate
 from entconv.reports import parse_report
@@ -104,6 +105,41 @@ def test_invalid_config_exits_2(tmp_path):
 def test_invalid_override_exits_2(tmp_path, capsys, option, value, message):
     assert main([option, value, "--out", str(tmp_path / "o"), "simulate"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_mc_samples_above_the_cap_exits_2_before_any_command(tmp_path, capsys):
+    path = tmp_path / "a.ini"  # write-config runs no fit, whatever it is given
+    assert main(["--mc-samples", str(MAX_MC_SAMPLES + 1), "write-config",
+                 "--path", str(path)]) == 2
+    assert f"mc_samples must be <= {MAX_MC_SAMPLES}, got {MAX_MC_SAMPLES + 1}" \
+        in capsys.readouterr().err
+    assert not path.exists()
+    assert main(["--mc-samples", str(MAX_MC_SAMPLES), "write-config", "--path", str(path)]) == 0
+
+
+#: a configured rate whose expected counts exceed counts.MAX_COUNT in some stage:
+#: (section, key, value); each once loaded, and simulate then exited 2 with numpy's
+#: "lam value too large", 5 on a count record, or 0 with singles counts above 2**53
+RATES_OUT_OF_DOMAIN = [
+    ("source", "pair_rate_cps", "1e+300"), ("process", "rate_cps", "1e+300"),
+    ("process", "accidental_rate_cps", "1e+16"),
+    ("detection.input", "singles_rate_a_cps", "1e+300"),
+    ("detection.output", "singles_rate_b_cps", "1e+14"),
+    ("detection.chsh", "singles_rate_a_cps", "1e+300")]
+
+
+@pytest.mark.parametrize("section, key, value", RATES_OUT_OF_DOMAIN)
+def test_rate_beyond_the_count_domain_exits_2(tmp_path, config_path, capsys, section, key,
+                                              value):
+    cp = configparser.ConfigParser()
+    cp.read(config_path)
+    cp[section][key] = value
+    with open(config_path, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert main(["--config", str(config_path), "--out", str(out), "simulate"]) == 2
+    assert f"[{section}] {key}: the " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", ["", "../../x", "a/b"])

@@ -1,6 +1,6 @@
 """Round-trip tests for report serialization and the INI configuration."""
 import tempfile
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
 from typing import get_type_hints
@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entconv.chsh import ChshSettings
-from entconv.config import (DETECTION_KEYS, FIELDS, Acquisition, ConfigError, ExperimentConfig,
-                            ProcessStage, default_config, load_config, save_config,
-                            tuned_source_state)
+from entconv.config import (DETECTION_KEYS, FIELDS, MAX_MC_SAMPLES, Acquisition, ConfigError,
+                            ExperimentConfig, ProcessStage, default_config, load_config,
+                            save_config, tuned_source_state)
 from entconv.conversion import (BudgetInputs, ConversionParams, DetectionModel,
                                 EfficiencyParams, SourceModel)
-from entconv.counts import DURATIONS
+from entconv.counts import DURATIONS, MAX_COUNT
 from entconv.reports import (emit_keyvalues, emit_matrix, emit_report,
                              parse_keyvalues, parse_matrix, parse_report)
 from entconv.states import check_density_matrix
@@ -71,19 +71,23 @@ unit = st.floats(0.0, 1.0)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 durations = st.floats(*DURATIONS)
+#: rates (cps) and coincidence windows (s) whose counts stay below MAX_COUNT over any
+#: duration: pairs, accidentals and singles of a setting add up to at most 2e6 cps
+rates = st.floats(0.0, 1e6)
+windows = st.floats(0.0, 1e-6, exclude_min=True)
 angles = st.floats(0.0, 180.0, exclude_max=True)
 channels = st.builds(ConversionParams, eta_h=st.floats(1e-3, 1.0), eta_v=unit,
                      theta=reals, dephase=unit)
 detections = st.builds(DetectionModel, det_eff_810=unit, det_eff_532=unit,
-                       conversion_eff=unit, coinc_window=positive,
-                       singles_rate_a=non_negative, singles_rate_b=non_negative)
+                       conversion_eff=unit, coinc_window=windows,
+                       singles_rate_a=rates, singles_rate_b=rates)
 configs = st.builds(
     ExperimentConfig,
     seed=st.integers(0, 2 ** 64),
     noiseless=st.booleans(),
     source=st.one_of(
-        st.builds(SourceModel, kind=st.just("werner"), p=unit, pair_rate=non_negative),
-        st.builds(SourceModel, kind=st.just("custom"), pair_rate=non_negative,
+        st.builds(SourceModel, kind=st.just("werner"), p=unit, pair_rate=rates),
+        st.builds(SourceModel, kind=st.just("custom"), pair_rate=rates,
                   state=st.integers(0, 2 ** 32 - 1).map(random_density_matrix))),
     conversion=channels,
     detection=st.fixed_dictionaries({"input": detections, "output": detections,
@@ -93,11 +97,11 @@ configs = st.builds(
     chsh=st.builds(ChshSettings, alpha=angles, alpha_prime=angles, beta=angles,
                    beta_prime=angles),
     chsh_source_p=unit,
-    process=st.builds(ProcessStage, rate=positive, channel=channels,
-                      accidental_rate=non_negative),
+    process=st.builds(ProcessStage, rate=st.floats(0.0, 1e6, exclude_min=True), channel=channels,
+                      accidental_rate=rates),
     tomography=st.builds(TomographyOptions, max_iters=st.integers(1, 10 ** 6),
                          rel_tol=positive),
-    mc_samples=st.integers(2, 10 ** 6),
+    mc_samples=st.integers(2, MAX_MC_SAMPLES),
     efficiency=st.builds(
         BudgetInputs, power_in=positive, power_out=positive, lambda_in=positive,
         lambda_out=positive, optical_loss=st.floats(0.0, 1.0, exclude_max=True),
@@ -299,6 +303,10 @@ class TestConfig:
         ("noiseless = False", "noiseless = true", r"\[run\] noiseless: invalid bool 'true'"),
         ("max_iters = 5000", "max_iters = 5e3", r"\[tomography\] max_iters: invalid int"),
         ("mc_samples = 100", "mc_sample = 5", r"unknown key \[run\] mc_sample"),
+        ("mc_samples = 100", f"mc_samples = {MAX_MC_SAMPLES + 1}",
+         f"mc_samples must be <= {MAX_MC_SAMPLES}, got {MAX_MC_SAMPLES + 1}"),
+        ("pair_rate_cps = 73000.0", "pair_rate_cps = 1e+300",
+         r"\[source\] pair_rate_cps: the input stage expects up to 1e\+300 counts a setting"),
         ("singles_rate_b_cps = 0.0", "singles_rate_b_cps = 0.0\nsingles_rate_c_cps = 0.0",
          r"unknown key \[detection.chsh\] singles_rate_c_cps"),
         ("[chsh]", "[chsh_settings]", r"unknown section \[chsh_settings\]"),
@@ -374,6 +382,32 @@ def test_acquisition_durations_take_the_count_records_range(name, value):
         Acquisition(**{name: float(value)})
     for bound in DURATIONS:
         Acquisition(**{name: bound})
+
+
+def test_mc_samples_cap():
+    assert ExperimentConfig(mc_samples=MAX_MC_SAMPLES).mc_samples == MAX_MC_SAMPLES
+    with pytest.raises(ConfigError, match=f"mc_samples must be <= {MAX_MC_SAMPLES}"):
+        ExperimentConfig(mc_samples=MAX_MC_SAMPLES + 1)
+
+
+def test_process_counts_up_to_max_count_load():
+    """Over 128 s, rates of MAX_COUNT / 128 cps in all expect MAX_COUNT counts a
+    setting and load; a rate one float above it is a ConfigError naming its key."""
+    base = default_config()
+    acq = replace(base.acquisition, process_duration=128.0)
+
+    def config(rate, accidental_rate):
+        process = replace(base.process, rate=rate, accidental_rate=accidental_rate)
+        return replace(base, acquisition=acq, process=process)
+
+    config(MAX_COUNT / 128, 0.0)
+    config(1.0, MAX_COUNT / 128 - 1.0)
+    above = np.nextafter(MAX_COUNT / 128, np.inf)
+    with pytest.raises(ConfigError, match=r"\[process\] rate_cps: the process stage expects "
+                                          r"up to 9.01e\+15 counts a setting, above 2\*\*53"):
+        config(above, 0.0)
+    with pytest.raises(ConfigError, match=r"\[process\] accidental_rate_cps: the process stage"):
+        config(1.0, above - 1.0)
 
 
 @pytest.mark.parametrize("name", ["per_crystal_pump_factor", "focus_position_factor"])

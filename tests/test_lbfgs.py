@@ -2,8 +2,9 @@
 that fails, where the row drops its L-BFGS memory and retries once along -g,
 and a step whose memory update is skipped, where the row keeps its pairs in
 order while the others update; lbfgs._line_search on a batch whose rows
-stop on different rounds, each as if searched alone; and a batch of state
-fits that does not depend on the memory order of its gradients."""
+stop on different rounds, each as if searched alone; a row-wise dot that
+rounds a row alike in any batch; and a batch of state fits that does not
+depend on the memory order of its gradients."""
 import numpy as np
 from scipy import optimize
 
@@ -181,8 +182,29 @@ def test_line_search_rows_stop_on_their_own_rounds_as_if_searched_alone():
         assert np.array_equal(out, start)
 
 
+def test_dot_of_any_rows_equals_those_rows_of_the_whole_call():
+    """``lbfgs._dot`` of a row subset of a (k, 16) batch, lone rows among them,
+    and of the slot slices of a (m, k, 16) memory, compacted or not, equals
+    those rows of the call on the whole batch, bit for bit."""
+    rng = np.random.default_rng(22)
+    for k in (2, 3, 20, 101, 404):
+        a, b = rng.normal(size=(2, k, 16))
+        whole = lbfgs._dot(a, b)
+        subsets = [[i] for i in range(k)] + [
+            np.sort(rng.choice(k, size=rng.integers(1, k + 1), replace=False)) for _ in range(20)]
+        for rows in subsets:
+            assert lbfgs._dot(a[rows], b[rows]).tobytes() == whole[rows].tobytes()
+    mem, q = rng.normal(size=(20, 404, 16)), rng.normal(size=(404, 16))
+    kept = np.sort(rng.choice(404, size=150, replace=False))
+    for slot in range(len(mem)):
+        whole = lbfgs._dot(mem[slot], q)
+        assert lbfgs._dot(mem[:, kept][slot], q[kept]).tobytes() == whole[kept].tobytes()
+        for row in range(0, 404, 37):
+            assert lbfgs._dot(mem[slot, row:row + 1], q[row:row + 1])[0] == whole[row]
+
+
 def test_batched_fit_does_not_depend_on_gradient_memory_order():
-    """numpy rounds a reduction (the einsum of ``lbfgs._dot``) differently for
+    """numpy rounds a reduction (the vecdot of ``lbfgs._dot``) differently for
     C- and F-ordered operands; on these resamples of the default output table,
     whose line searches do not all accept step 1, a fit that took the
     gradient's layout as it came moved rows by rounding."""

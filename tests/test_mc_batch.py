@@ -433,24 +433,22 @@ def test_metrics_on_a_stack_equal_the_per_estimate_loop(name):
     np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=1e-15)
 
 
-#: every *_err of the five default report stages on seed 103, computed one
-#: estimate at a time before the metrics took the stack of estimates; the
-#: process stage re-derived when G^{-1/2} and its pull-back took their closed
-#: forms (4.4e-12 relative), the state stages when each row's start became the
-#: einsum of the design matrix's pseudo-inverse with its own C-ordered rates
-#: (least squares had rounded a row by the rows solved with it): rounding moved
-#: the input and output errors by at most 1.2e-10 and 3.1e-6 relative, and the
-#: refit of output_raw's resample 80 gained 0.048 nats, moving its by up to 1.2e-3
+#: every *_err of the five default report stages on seed 103, first computed
+#: one estimate at a time before the metrics took the stack of estimates; last
+#: re-derived, for all five stages, when every L-BFGS dot became ``np.vecdot`` and the state
+#: likelihood took |t|^2 for Tr(T^dag T) and real projector products: rounding
+#: moved the input and process errors by at most 7e-11 and the output errors
+#: by at most 4.7e-6 relative
 PER_ESTIMATE_ERRORS = {
-    "input_raw": {"fidelity": 0.0005205762096167363, "purity": 0.0010494419210661245,
-                  "tangle": 0.0020522607238059438},
-    "input": {"fidelity": 0.0005485128540159539, "purity": 0.0011846966205277315,
-              "tangle": 0.0021572785567923348},
-    "output_raw": {"fidelity": 0.004428074456934064, "purity": 0.00839432518925579,
-                   "tangle": 0.01650204030456632},
-    "output": {"fidelity": 0.004787142156724193, "purity": 0.009339494993843062,
-               "tangle": 0.019078361207522505},
-    "process": {"fidelity": 3.076409572572843e-05, "purity": 6.291720524302819e-05},
+    "input_raw": {"fidelity": 0.0005205762096266736, "purity": 0.0010494419210683506,
+                  "tangle": 0.00205226072381514},
+    "input": {"fidelity": 0.0005485128540391164, "purity": 0.0011846966205812787,
+              "tangle": 0.0021572785569410812},
+    "output_raw": {"fidelity": 0.004428057590799448, "purity": 0.008394286413878956,
+                   "tangle": 0.016502006515862127},
+    "output": {"fidelity": 0.004787148625921494, "purity": 0.009339501316941003,
+               "tangle": 0.019078403440500238},
+    "process": {"fidelity": 3.076409572547595e-05, "purity": 6.291720524255026e-05},
 }
 
 

@@ -8,8 +8,9 @@ from entconv.counts import (CountDataError, CountRecord, expected_counts,
                             simulate_process_counts)
 from entconv.states import (PAULIS, bell_state, check_density_matrix, fidelity,
                             ket2dm, projector, purity, trace_distance, werner_state)
-from entconv.tomography import (_DESIGN, METRICS, ReconstructionError, _chi_of_choi,
-                                _params_to_t, _retraction, _t_to_params,
+from entconv.tomography import (_DESIGN, _STATE_PROJS, METRICS, ReconstructionError,
+                                _chi_of_choi, _params_to_t, _poisson_terms, _retraction,
+                                _state_nll, _t_to_params,
                                 _choi_of_chi, chi_to_transfer, TomographyOptions, channel_chi,
                                 check_chi_matrix, identity_chi, linear_inversion_state,
                                 mle_process, mle_state, mle_tables, monte_carlo_errors,
@@ -334,6 +335,44 @@ class TestCholeskyParameters:
         full = rng.normal(size=shape[:-1] + (4, 4)) + 1j * rng.normal(size=shape[:-1] + (4, 4))
         for other in (full, full.swapaxes(-1, -2), full.real.swapaxes(-1, -2)):
             assert same_bits(_t_to_params(other), self.read(other))
+
+
+def complex_trace_state_nll(t, counts, norms):
+    """The state objective with Tr(T^dag T) as a complex trace and p_s and
+    sum_s w_s P_s as complex products, as ``_state_nll`` computed them before
+    it took |t|^2 and real products; and per row the size of the terms its
+    gradient sums, 2 |T| (sum_s |w_s| + |sum_s w_s p_s|) / Tr(T^dag T)."""
+    T = _params_to_t(t)
+    g = T.conj().swapaxes(-1, -2) @ T
+    tau = np.real(np.trace(g, axis1=1, axis2=2))[:, None, None]
+    p = np.real((g / tau).reshape(-1, 16) @ _STATE_PROJS.transpose(0, 2, 1).reshape(36, 16).T)
+    nll, c, w = _poisson_terms(p, counts, norms)
+    m = (w @ _STATE_PROJS.reshape(36, 16)).reshape(-1, 4, 4)
+    wc = np.sum(w * c, axis=1)[:, None, None]
+    size = 2.0 * np.linalg.norm(T, axis=(1, 2)) * (np.sum(np.abs(w), axis=1) + np.abs(wc[:, 0, 0]))
+    return nll, -2.0 * _t_to_params((T @ m - wc * T) / tau), size / tau[:, 0, 0]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 101, 404])
+def test_state_nll_equals_the_complex_trace_formula(rows):
+    """Values and gradients of ``_state_nll`` within 1e-14 relative of the
+    complex-trace formula, on random rows at several scales, a quarter of
+    them near rank 3 or 2 (the last one or two rows of T shrunk by 1e-4 or
+    1e-7), where some probabilities fall below the clipping floor. A gradient
+    is a sum of terms of either sign, so its error is relative to their size;
+    near rank 2 it is up to 1.01e-14 of the gradient's own norm."""
+    rng = np.random.default_rng(rows)
+    t = rng.normal(size=(rows, 16)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+    T = _params_to_t(t)
+    for b in range(0, rows, 4):
+        T[b, rng.integers(2, 4):] *= rng.choice([1e-4, 1e-7])
+    t = _t_to_params(T)
+    counts = rng.poisson(rng.choice([0.5, 30.0, 1e4], size=(rows, 1)), size=(rows, 36)) * 1.0
+    norms = rng.uniform(10.0, 100.0, size=(rows, 36))
+    value, grad = _state_nll(t, counts, norms)
+    ref_value, ref_grad, size = complex_trace_state_nll(t, counts, norms)
+    np.testing.assert_allclose(value, ref_value, rtol=1e-14, atol=0)
+    assert np.all(np.linalg.norm(grad - ref_grad, axis=1) <= 1e-14 * size)
 
 
 class TestRetraction:
